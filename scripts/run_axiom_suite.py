@@ -2,69 +2,32 @@
 """Decide the characteristic axioms with both engines and print a table.
 
 Each row shows the goal, the choice bound it is decided at, the search
-verdict, the oracle verdict, and the per-goal wall time.
+verdict, the per-goal wall time (search, oracle and evidence checks), and
+any disagreement or rejected evidence.
 """
 
 import argparse
 import time
 
-from stitprover import (
-    Provable,
-    ProverConfig,
-    Valid,
-    decide_by_enumeration,
-    parse,
-    prove,
-)
-
-AXIOMS = [
-    ("p -> (q -> p)", 0),
-    ("(~q -> ~p) -> (p -> q)", 0),
-    ("(p -> (q -> r)) -> ((p -> q) -> (p -> r))", 0),
-    ("box (p -> q) -> (box p -> box q)", 0),
-    ("box p -> p", 0),
-    ("dia p -> box dia p", 0),
-    ("box p | dia ~p", 0),
-    ("[1] (p -> q) -> ([1] p -> [1] q)", 0),
-    ("[1] p -> p", 0),
-    ("<1> p -> [1] <1> p", 0),
-    ("[1] p | <1> ~p", 0),
-    ("box p -> [1] p", 0),
-    ("dia [1] p -> dia [1] p", 0),
-    ("dia [1] p -> p", 1),
-    ("dia [1] p & dia (~p & [1] q) -> p | q", 2),
-    ("dia [1] p & dia (~p & [1] q) & dia (~p & ~q & [1] r) -> p | q | r", 3),
-]
+from stitprover import Provable, parse
+from stitprover.differential import AXIOMS, runs
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--skip-oracle",
-        action="store_true",
-        help="only run the search procedure",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     width = max(len(text) for text, _ in AXIOMS)
-    total = time.perf_counter()
+    total = start = time.perf_counter()
     bad = 0
-    for text, n in AXIOMS:
-        goal = parse(text)
-        start = time.perf_counter()
-        searched = isinstance(prove(ProverConfig(choices=n), goal), Provable)
-        if args.skip_oracle:
-            agreed = searched
-        else:
-            agreed = searched == isinstance(
-                decide_by_enumeration(goal, choices=n), Valid
-            )
+    for (text, n), run in zip(AXIOMS, runs((parse(t), n) for t, n in AXIOMS)):
         elapsed = time.perf_counter() - start
+        searched = isinstance(run.result, Provable)
         verdict = "provable" if searched else "UNPROVABLE"
-        note = "" if agreed else "   <-- engines disagree"
-        if not searched or not agreed:
+        note = "".join(f"   <-- {problem}" for problem in run.problems)
+        if not searched or run.problems:
             bad += 1
         print(f"n={n}  {text:<{width}}  {verdict:<10} {elapsed * 1000:7.1f} ms{note}")
+        start = time.perf_counter()
     print(f"\n{len(AXIOMS)} goals in {time.perf_counter() - total:.2f} s")
     return 1 if bad else 0
 

@@ -3,30 +3,17 @@
 
 Enumerates every normal-form formula over the given atoms up to a connective
 budget (optionally plus random formulas), decides each at every requested
-choice bound with both engines, and reports disagreements, certificate or
-counter-model failures, and monitored size-bound excesses.
+choice bound with both engines, checks every certificate and counter-model,
+and reports disagreements, rejected evidence and monitored size-bound
+excesses.
 """
 
 import argparse
 import random
 import time
 
-from stitprover import (
-    CalculusConfig,
-    Mode,
-    Provable,
-    ProverConfig,
-    Valid,
-    check_derivation,
-    check_frame,
-    decide_by_enumeration,
-    enumerate_formulas,
-    evaluate,
-    extract_countermodel,
-    pretty,
-    prove,
-    random_formula,
-)
+from stitprover import enumerate_formulas, pretty, random_formula
+from stitprover.differential import runs
 
 
 def main() -> int:
@@ -41,8 +28,6 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=4, metavar="D",
                         help="depth of the random formulas")
     parser.add_argument("--seed", type=int, default=7, metavar="S")
-    parser.add_argument("--verify-evidence", action="store_true",
-                        help="also check every certificate and counter-model")
     args = parser.parse_args()
 
     names = tuple(args.atoms.split(","))
@@ -52,37 +37,21 @@ def main() -> int:
     goals.extend(random_formula(rng, args.depth, names) for _ in range(args.random))
 
     start = time.perf_counter()
-    runs = disagreements = evidence_failures = 0
+    count = disagreements = evidence_failures = 0
     violations: list[tuple[str, int]] = []
-    for goal in goals:
-        for n in bounds:
-            runs += 1
-            result = prove(ProverConfig(choices=n), goal)
-            verdict = decide_by_enumeration(goal, choices=n)
-            if isinstance(result, Provable) != isinstance(verdict, Valid):
-                disagreements += 1
-                print(f"DISAGREEMENT n={n}: {pretty(goal)}")
-            if result.stats.bound_violations:
-                violations.append((pretty(goal), n))
-            if args.verify_evidence:
-                if isinstance(result, Provable):
-                    cfg = CalculusConfig(agents=1, choices=n, mode=Mode.REFINED)
-                    if not check_derivation(cfg, result.derivation).ok:
-                        evidence_failures += 1
-                        print(f"BAD CERTIFICATE n={n}: {pretty(goal)}")
-                else:
-                    model, interp = extract_countermodel(result.stable, 0, n)
-                    if not check_frame(model, 1, n).ok or evaluate(
-                        model, interp[0], goal
-                    ):
-                        evidence_failures += 1
-                        print(f"BAD COUNTER-MODEL n={n}: {pretty(goal)}")
+    for run in runs((goal, n) for goal in goals for n in bounds):
+        count += 1
+        disagreements += not run.agrees
+        evidence_failures += run.evidence_error is not None
+        for problem in run.problems:
+            print(f"FAILURE n={run.choices}: {pretty(run.goal)}: {problem}")
+        if run.result.stats.bound_violations:
+            violations.append((pretty(run.goal), run.choices))
 
     elapsed = time.perf_counter() - start
-    print(f"{runs} runs over {len(goals)} goals in {elapsed:.1f} s")
+    print(f"{count} runs over {len(goals)} goals in {elapsed:.1f} s")
     print(f"disagreements: {disagreements}")
-    if args.verify_evidence:
-        print(f"evidence failures: {evidence_failures}")
+    print(f"evidence failures: {evidence_failures}")
     print(f"runs exceeding a monitored size bound: {len(violations)}")
     for text, n in violations[:20]:
         print(f"  n={n}: {text}")

@@ -38,7 +38,7 @@ from .formula import (
     pretty,
 )
 from .generate import enumerate_formulas, random_formula
-from .propagation import automaton_of, side_condition_holds
+from .propagation import side_condition_holds
 from .prover import (
     InternalInvariantError,
     Provable,
@@ -81,7 +81,7 @@ __all__ = [
     "LabelledFormula", "LabelledSequent", "Mode", "Model", "NegAtom", "Or",
     "ParseError", "Provable", "ProveResult", "ProverConfig", "RelAtom",
     "RuleTag", "SearchLimitExceeded", "Unprovable", "Valid", "ValidUpToBound",
-    "automaton_of", "check_derivation", "check_frame", "check_inference",
+    "check_derivation", "check_frame", "check_inference",
     "choice_trees", "decide_by_enumeration", "derivation_from_json",
     "derivation_to_json", "enumerate_formulas", "enumerate_models", "evaluate",
     "extract_countermodel", "globally_true", "graph_of", "iff", "implies",

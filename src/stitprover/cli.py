@@ -9,10 +9,12 @@ Four subcommands:
 * ``oracle`` — brute-force validity via bounded model enumeration, any
   number of agents;
 * ``fuzz`` — differential testing: random goals through both the prover
-  and the oracle, reporting the first disagreement.
+  and the oracle, with every certificate and counter-model checked,
+  reporting the first disagreement or rejected piece of evidence.
 
 Exit status: 0 provable/valid certificate/valid formula/full agreement;
-1 unprovable, invalid certificate, counter-model found, or disagreement;
+1 unprovable, invalid certificate, counter-model found, disagreement, or
+rejected evidence;
 2 usage or input error; 3 internal invariant failure.
 """
 
@@ -31,6 +33,7 @@ from .calculus import (
     derivation_from_json,
     derivation_to_json,
 )
+from .differential import runs
 from .formula import ParseError, parse, pretty
 from .generate import random_formula
 from .prover import (
@@ -155,17 +158,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise _UsageError(f"--atoms must be between 1 and {len(_FUZZ_ALPHABET)}")
     names = tuple(_FUZZ_ALPHABET[: args.atoms])
     rng = random.Random(args.seed)
-    for index in range(1, args.count + 1):
-        goal = random_formula(rng, args.depth, names)
-        verdict = prove(ProverConfig(choices=args.choices), goal)
-        oracle = decide_by_enumeration(goal, agents=1, choices=args.choices)
-        proved = isinstance(verdict, Provable)
-        valid = not isinstance(oracle, CounterModel)
-        if proved != valid:
+    goals = (random_formula(rng, args.depth, names) for _ in range(args.count))
+    pairs = ((goal, args.choices) for goal in goals)
+    for index, run in enumerate(runs(pairs), start=1):
+        if run.problems:
             print(
-                f"disagreement on formula {index}/{args.count}: {pretty(goal)} "
-                f"(prover: {'provable' if proved else 'unprovable'}, "
-                f"oracle: {'valid' if valid else 'counter-model'})"
+                f"failure on formula {index}/{args.count}: {pretty(run.goal)}: "
+                + "; ".join(run.problems)
             )
             return 1
     print(f"agreement: {args.count}/{args.count}")

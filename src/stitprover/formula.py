@@ -221,12 +221,21 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# The deepest formula `parse` builds, and the most parentheses and prefix
+# operators it reads open at once.  Hashing, printing and negating recurse
+# once per level, and the parser once per open parenthesis or operator; this
+# keeps them all well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
+    """Recursive descent; every rule returns a formula with its depth."""
+
     def __init__(self, text: str, agents: int):
-        self.text = text
         self.agents = agents
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -245,66 +254,93 @@ class _Parser:
         if tok != want:
             raise ParseError(f"expected {want!r} but found {tok!r} at position {at}")
 
-    def formula(self) -> Formula:
-        f = self.imp()
+    def enter(self, at: int) -> None:
+        """Open one more parenthesis or prefix operator; the caller closes
+        it by decrementing ``open`` once the nested rule returns."""
+        if self.open == MAX_NESTING:
+            raise ParseError(
+                f"more than {MAX_NESTING} nested parentheses and operators "
+                f"at position {at}"
+            )
+        self.open += 1
+
+    def built(self, f: Formula, d: int, at: int) -> tuple[Formula, int]:
+        if d > MAX_NESTING:
+            raise ParseError(f"formula deeper than {MAX_NESTING} at position {at}")
+        return f, d
+
+    def formula(self) -> tuple[Formula, int]:
+        f, d = self.imp()
         while self.peek() == "<->":
-            self.next()
-            f = iff(f, self.imp())
-        return f
+            _, at = self.next()
+            g, e = self.imp()
+            f, d = self.built(iff(f, g), 2 + max(d, e), at)
+        return f, d
 
-    def imp(self) -> Formula:
-        f = self.disj()
+    def imp(self) -> tuple[Formula, int]:
+        f, d = self.disj()
         if self.peek() == "->":
-            self.next()
-            return implies(f, self.imp())
-        return f
+            _, at = self.next()
+            self.enter(at)
+            g, e = self.imp()
+            self.open -= 1
+            return self.built(implies(f, g), 1 + max(d, e), at)
+        return f, d
 
-    def disj(self) -> Formula:
-        f = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        f, d = self.conj()
         while self.peek() == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
+            _, at = self.next()
+            g, e = self.conj()
+            f, d = self.built(Or(f, g), 1 + max(d, e), at)
+        return f, d
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        f, d = self.unary()
         while self.peek() == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
+            _, at = self.next()
+            g, e = self.unary()
+            f, d = self.built(And(f, g), 1 + max(d, e), at)
+        return f, d
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok, at = self.next()
-        if tok == "!":
-            return negate(self.unary())
-        if tok == "box":
-            return Box(self.unary())
-        if tok == "dia":
-            return Dia(self.unary())
-        if tok == "[":
-            agent = self.agent_index()
-            self.expect("]")
-            return AgBox(agent, self.unary())
-        if tok == "<":
-            agent = self.agent_index()
-            self.expect(">")
-            return AgDia(agent, self.unary())
         if tok == "~":
             name, at = self.next()
             if not name[0].isalpha() and name[0] != "_" or name in _KEYWORDS:
                 raise ParseError(f"expected an atom after '~' at position {at}")
-            return NegAtom(name)
+            return NegAtom(name), 0
         if tok == "true":
-            return TRUE
+            return TRUE, 1
         if tok == "false":
-            return FALSE
+            return FALSE, 1
         if tok == "(":
-            f = self.formula()
+            self.enter(at)
+            f, d = self.formula()
             self.expect(")")
-            return f
-        if tok[0].isalpha() or tok[0] == "_":
-            return Atom(tok)
-        raise ParseError(f"unexpected token {tok!r} at position {at}")
+            self.open -= 1
+            return f, d
+        if (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
+            return Atom(tok), 0
+        if tok in ("[", "<"):
+            agent = self.agent_index()
+            self.expect("]" if tok == "[" else ">")
+        elif tok not in ("!", "box", "dia"):
+            raise ParseError(f"unexpected token {tok!r} at position {at}")
+        self.enter(at)
+        body, d = self.unary()
+        self.open -= 1
+        if tok == "!":
+            return negate(body), d
+        if tok == "box":
+            f = Box(body)
+        elif tok == "dia":
+            f = Dia(body)
+        elif tok == "[":
+            f = AgBox(agent, body)
+        else:
+            f = AgDia(agent, body)
+        return self.built(f, 1 + d, at)
 
     def agent_index(self) -> int:
         tok, at = self.next()
@@ -319,9 +355,12 @@ class _Parser:
 
 
 def parse(text: str, agents: int = 1) -> Formula:
-    """Parse surface syntax into an NNF formula over agents ``1..agents``."""
+    """Parse surface syntax into an NNF formula over agents ``1..agents``.
+
+    Input nested deeper than ``MAX_NESTING`` is a `ParseError`.
+    """
     parser = _Parser(text, agents)
-    f = parser.formula()
+    f, _ = parser.formula()
     if parser.pos != len(parser.tokens):
         tok, at = parser.tokens[parser.pos]
         raise ParseError(f"trailing input {tok!r} at position {at}")

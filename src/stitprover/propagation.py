@@ -1,4 +1,4 @@
-"""Propagation automata over labelled sequents.
+"""The side condition of the propagation rule.
 
 For labels ``w, u`` of a sequent, the propagation automaton reads words over
 the alphabet of agentive diamonds and has one state per label.  Every
@@ -9,97 +9,25 @@ classes, so propagation may travel either way along an edge.
 The side condition of the propagation rule for agent ``i`` asks whether the
 automaton from ``w`` to ``u`` accepts some word in ``<i>*`` — including the
 empty word, so ``w == u`` always qualifies.  That language check reduces to
-reachability using ``i``-transitions only.
+reachability using ``i``-transitions only: ``w`` and ``u`` lie in one
+component of the sequent graph restricted to agent ``i``'s atoms.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
-
-from .sequent import Label, LabelledSequent
-
-
-@dataclass(frozen=True)
-class PropagationAutomaton:
-    states: frozenset[Label]
-    initial: Label
-    final: Label
-    transitions: frozenset[tuple[Label, int, Label]]  # (state, agent, state)
-
-    def step(self, states: frozenset[Label], letter: int) -> frozenset[Label]:
-        return frozenset(
-            t for (s, a, t) in self.transitions if a == letter and s in states
-        )
-
-    def accepts(self, word: Sequence[int]) -> bool:
-        current = frozenset({self.initial})
-        for letter in word:
-            current = self.step(current, letter)
-            if not current:
-                return False
-        return self.final in current
-
-
-def automaton_of(s: LabelledSequent, start: Label, end: Label) -> PropagationAutomaton:
-    states = frozenset(s.labels())
-    if start not in states or end not in states:
-        raise ValueError(f"labels w{start}, w{end} must occur in the sequent")
-    transitions = set()
-    for agent, src, tgt in s.rel:
-        transitions.add((src, agent, tgt))
-        transitions.add((tgt, agent, src))
-    return PropagationAutomaton(
-        states=states, initial=start, final=end, transitions=frozenset(transitions)
-    )
+from .sequent import Label, LabelledSequent, components
 
 
 def side_condition_holds(
     s: LabelledSequent, agent: int, start: Label, end: Label
 ) -> bool:
     """Does the automaton from ``start`` to ``end`` accept a word in ``<agent>*``?"""
-    labels = set(s.labels())
+    labels = s.labels()
     if start not in labels or end not in labels:
         raise ValueError(f"labels w{start}, w{end} must occur in the sequent")
-    if start == end:
-        return True  # the empty word
-    adjacency: dict[Label, set[Label]] = {}
-    for a, src, tgt in s.rel:
-        if a == agent:
-            adjacency.setdefault(src, set()).add(tgt)
-            adjacency.setdefault(tgt, set()).add(src)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for nxt in adjacency.get(v, ()):
-            if nxt == end:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return any(start in block and end in block for block in components(s, agent))
 
 
 def same_component(s: LabelledSequent, agent: int) -> tuple[frozenset[Label], ...]:
     """Partition of the labels by ``agent``-reachability, sorted by minimum."""
-    labels = s.labels()
-    parent = {w: w for w in labels}
-
-    def find(w: Label) -> Label:
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for a, src, tgt in s.rel:
-        if a == agent:
-            rs, rt = find(src), find(tgt)
-            if rs != rt:
-                parent[rs] = rt
-
-    groups: dict[Label, set[Label]] = {}
-    for w in labels:
-        groups.setdefault(find(w), set()).add(w)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    return components(s, agent)

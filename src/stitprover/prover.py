@@ -5,8 +5,9 @@ instruction of the following priority list that fires (scanning labels in
 ascending order and formulas in insertion order, for reproducibility):
 
 1. an atomic clash ``w:p, w:~p`` closes the branch (rule ``id``);
-2. a *stable* sequent — saturated, realized, propagated, and within the
-   choice bound — refutes the goal and is returned as a counter-model seed;
+2. when no other instruction fires, the sequent is *stable* — saturated,
+   realized, propagated, and within the choice bound — so it refutes the
+   goal and is returned as a counter-model seed;
 3. (i) unsaturated disjunctions add both disjuncts; (ii) unsaturated
    conjunctions branch, one conjunct per premise;
 4. an agentive diamond ``w:<1>f`` copies ``f`` to a choice-tree mate of
@@ -18,6 +19,17 @@ ascending order and formulas in insertion order, for reproducibility):
    ``f``;
 8. with a positive choice bound ``n``, more than ``n`` choice-trees trigger
    a case split joining two of the ``n+1`` smallest roots per premise.
+
+Instruction 2 is the fall-through: the loop reaches it when 1 and 3-8 do
+not fire.  Each of 3-8 fires exactly when its clause of ``is_stable`` fails
+(3 saturation of ``|`` and ``&``, 4-5 propagation, 6-7 realization, 8 the
+choice bound).  The one clause left, "no complementary pair at a label",
+follows by induction on the formula: where nothing fires, ``f & g`` against
+``~f | ~g`` leaves ``~f``, ``~g`` and one of ``f, g`` at the label; ``box f``
+against ``dia ~f`` leaves ``f`` at some ``u`` and ``~f`` at every label;
+``[1] f`` against ``<1> ~f`` does the same within a choice tree.  So a
+compound pair implies an atomic clash, which instruction 1 would have
+closed.  The search still asserts ``is_stable`` at the leaf it returns.
 
 Blocking conditions (the stability predicates below) ensure each instruction
 fires at most once per trigger, which gives termination.  Successful
@@ -59,6 +71,7 @@ split) are hard assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .calculus import Derivation, RuleTag
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
@@ -68,6 +81,7 @@ from .sequent import (
     LabelledSequent,
     RelAtom,
     choice_trees,
+    components,
     fresh_label,
     is_forestlike,
     tree_of,
@@ -248,6 +262,68 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
     return Provable(outcome, stats)
 
 
+def _fire(
+    s: LabelledSequent, scan: list[tuple[int, Formula]]
+) -> tuple[RuleTag, dict, tuple[LabelledSequent, ...]] | None:
+    """The first of instructions 3-7 that fires on ``s``: its rule, its
+    principal data and its premises (two for the case split of 3(ii))."""
+    # 3(i). disjunction missing a disjunct
+    for w, f in scan:
+        if isinstance(f, Or) and not (s.has_form(w, f.left) and s.has_form(w, f.right)):
+            both = [LabelledFormula(w, f.left), LabelledFormula(w, f.right)]
+            return RuleTag.OR, {"label": w, "formula": f}, (s.extended(forms=both),)
+
+    # 3(ii). conjunction with neither conjunct — case split
+    for w, f in scan:
+        if isinstance(f, And) and not (s.has_form(w, f.left) or s.has_form(w, f.right)):
+            premises = tuple(
+                s.extended(forms=[LabelledFormula(w, part)])
+                for part in (f.left, f.right)
+            )
+            return RuleTag.AND, {"label": w, "formula": f}, premises
+
+    # 4. agentive diamond not yet propagated through its choice-tree
+    for w, f in scan:
+        if isinstance(f, AgDia):
+            members = sorted(tree_of(s, w))
+            u = next((u for u in members if not s.has_form(u, f.body)), None)
+            if u is not None:
+                principal = {"agent": _AGENT, "label": w, "formula": f, "witness": u}
+                premise = s.extended(forms=[LabelledFormula(u, f.body)])
+                return RuleTag.PROP, principal, (premise,)
+
+    # 5. settledness diamond not yet propagated everywhere
+    for w, f in scan:
+        if isinstance(f, Dia):
+            u = next((u for u in s.labels() if not s.has_form(u, f.body)), None)
+            if u is not None:
+                principal = {"label": w, "formula": f, "witness": u}
+                premise = s.extended(forms=[LabelledFormula(u, f.body)])
+                return RuleTag.DIA, principal, (premise,)
+
+    # 6. unrealized agentive box — fresh choice-tree mate
+    for w, f in scan:
+        if isinstance(f, AgBox) and not any(
+            s.has_form(u, f.body) for u in tree_of(s, w)
+        ):
+            v = fresh_label(s)
+            principal = {"agent": _AGENT, "label": w, "formula": f, "fresh": v}
+            premise = s.extended(
+                rel=[RelAtom(_AGENT, w, v)], forms=[LabelledFormula(v, f.body)]
+            )
+            return RuleTag.AGBOX, principal, (premise,)
+
+    # 7. unrealized settledness box — fresh label
+    for w, f in scan:
+        if isinstance(f, Box) and not any(s.has_form(u, f.body) for u in s.labels()):
+            v = fresh_label(s)
+            principal = {"label": w, "formula": f, "fresh": v}
+            premise = s.extended(forms=[LabelledFormula(v, f.body)])
+            return RuleTag.BOX, principal, (premise,)
+
+    return None
+
+
 class _Searcher:
     """One proof-search run: configuration, statistics, bound monitoring."""
 
@@ -307,12 +383,21 @@ class _Searcher:
                 top = Derivation(concl, rule, principal, (top,))
             return top
 
-        def step_to(s2: LabelledSequent, rule: RuleTag, principal: dict) -> None:
-            nonlocal current
+        def split(
+            rule: RuleTag,
+            principal: dict,
+            premises: Sequence[LabelledSequent],
+            edges: int,
+        ) -> Derivation | LabelledSequent:
             self._tick()
-            trail.append((current, rule, principal))
-            current = s2
-            self.note(current, apc_edges)
+            subderivs = []
+            for premise in premises:
+                self.note(premise, edges)
+                outcome = self.search(premise, edges)
+                if isinstance(outcome, LabelledSequent):
+                    return outcome
+                subderivs.append(outcome)
+            return fold(Derivation(current, rule, principal, tuple(subderivs)))
 
         while True:
             scan = [(w, f) for w in current.labels() for f in current.forms_at(w)]
@@ -333,167 +418,40 @@ class _Searcher:
                 leaf = Derivation(current, RuleTag.ID, {"label": w, "atom": name})
                 return fold(leaf)
 
-            # 2. stability — refutation found
-            if is_stable(current, self.cfg.choices):
-                return current
-
-            # 3(i). disjunction missing a disjunct
-            fired = False
-            for w, f in scan:
-                if isinstance(f, Or) and not (
-                    current.has_form(w, f.left) and current.has_form(w, f.right)
-                ):
-                    step_to(
-                        current.extended(
-                            forms=[
-                                LabelledFormula(w, f.left),
-                                LabelledFormula(w, f.right),
-                            ]
-                        ),
-                        RuleTag.OR,
-                        {"label": w, "formula": f},
-                    )
-                    fired = True
-                    break
-            if fired:
-                continue
-
-            # 3(ii). conjunction with neither conjunct — case split
-            for w, f in scan:
-                if isinstance(f, And) and not (
-                    current.has_form(w, f.left) or current.has_form(w, f.right)
-                ):
-                    self._tick()
-                    subderivs = []
-                    for part in (f.left, f.right):
-                        premise = current.extended(forms=[LabelledFormula(w, part)])
-                        self.note(premise, apc_edges)
-                        outcome = self.search(premise, apc_edges)
-                        if isinstance(outcome, LabelledSequent):
-                            return outcome
-                        subderivs.append(outcome)
-                    node = Derivation(
-                        current,
-                        RuleTag.AND,
-                        {"label": w, "formula": f},
-                        tuple(subderivs),
-                    )
-                    return fold(node)
-
-            # 4. agentive diamond not yet propagated through its choice-tree
-            for w, f in scan:
-                if isinstance(f, AgDia):
-                    u = next(
-                        (
-                            u
-                            for u in sorted(tree_of(current, w))
-                            if not current.has_form(u, f.body)
-                        ),
-                        None,
-                    )
-                    if u is not None:
-                        step_to(
-                            current.extended(forms=[LabelledFormula(u, f.body)]),
-                            RuleTag.PROP,
-                            {
-                                "agent": _AGENT,
-                                "label": w,
-                                "formula": f,
-                                "witness": u,
-                            },
-                        )
-                        fired = True
-                        break
-            if fired:
-                continue
-
-            # 5. settledness diamond not yet propagated everywhere
-            for w, f in scan:
-                if isinstance(f, Dia):
-                    u = next(
-                        (
-                            u
-                            for u in current.labels()
-                            if not current.has_form(u, f.body)
-                        ),
-                        None,
-                    )
-                    if u is not None:
-                        step_to(
-                            current.extended(forms=[LabelledFormula(u, f.body)]),
-                            RuleTag.DIA,
-                            {"label": w, "formula": f, "witness": u},
-                        )
-                        fired = True
-                        break
-            if fired:
-                continue
-
-            # 6. unrealized agentive box — fresh choice-tree mate
-            for w, f in scan:
-                if isinstance(f, AgBox) and not any(
-                    current.has_form(u, f.body) for u in tree_of(current, w)
-                ):
-                    v = fresh_label(current)
-                    step_to(
-                        current.extended(
-                            rel=[RelAtom(_AGENT, w, v)],
-                            forms=[LabelledFormula(v, f.body)],
-                        ),
-                        RuleTag.AGBOX,
-                        {"agent": _AGENT, "label": w, "formula": f, "fresh": v},
-                    )
-                    fired = True
-                    break
-            if fired:
-                continue
-
-            # 7. unrealized settledness box — fresh label
-            for w, f in scan:
-                if isinstance(f, Box) and not any(
-                    current.has_form(u, f.body) for u in current.labels()
-                ):
-                    v = fresh_label(current)
-                    step_to(
-                        current.extended(forms=[LabelledFormula(v, f.body)]),
-                        RuleTag.BOX,
-                        {"label": w, "formula": f, "fresh": v},
-                    )
-                    fired = True
-                    break
-            if fired:
+            # 3-7. one premise extends the sequent; 3(ii) splits in two
+            fired = _fire(current, scan)
+            if fired is not None:
+                rule, principal, premises = fired
+                if rule is RuleTag.AND:
+                    return split(rule, principal, premises, apc_edges)
+                self._tick()
+                trail.append((current, rule, principal))
+                (current,) = premises
+                self.note(current, apc_edges)
                 continue
 
             # 8. too many choice-trees — join roots pairwise, case per pair
             n = self.cfg.choices
-            trees = choice_trees(current)
-            if n > 0 and len(trees) > n:
-                roots = [t.root for t in trees][: n + 1]
-                self._tick()
-                subderivs = []
-                for k in range(n):
-                    for j in range(k + 1, n + 1):
-                        premise = current.extended(
-                            rel=[RelAtom(_AGENT, roots[k], roots[j])]
+            trees = choice_trees(current) if n > 0 else ()
+            if len(trees) > n:
+                roots = tuple(t.root for t in trees[: n + 1])
+                premises = [
+                    current.extended(rel=[RelAtom(_AGENT, roots[k], roots[j])])
+                    for k in range(n)
+                    for j in range(k + 1, n + 1)
+                ]
+                for premise in premises:
+                    if len(components(premise)) != len(trees) - 1:
+                        raise InternalInvariantError(
+                            "joining two roots must reduce the choice-tree "
+                            f"count by one: {premise.show()}"
                         )
-                        self.note(premise, apc_edges + 1)
-                        if len(choice_trees(premise)) != len(trees) - 1:
-                            raise InternalInvariantError(
-                                "joining two roots must reduce the choice-tree "
-                                f"count by one: {premise.show()}"
-                            )
-                        outcome = self.search(premise, apc_edges + 1)
-                        if isinstance(outcome, LabelledSequent):
-                            return outcome
-                        subderivs.append(outcome)
-                node = Derivation(
-                    current,
-                    RuleTag.APC,
-                    {"agent": _AGENT, "roots": tuple(roots)},
-                    tuple(subderivs),
-                )
-                return fold(node)
+                principal = {"agent": _AGENT, "roots": roots}
+                return split(RuleTag.APC, principal, premises, apc_edges + 1)
 
-            raise InternalInvariantError(
-                f"no instruction applies to the unstable sequent {current.show()}"
-            )
+            # 2. nothing fires, so the sequent is stable — refutation found
+            if not is_stable(current, n):
+                raise InternalInvariantError(
+                    f"no instruction applies to the unstable sequent {current.show()}"
+                )
+            return current

@@ -125,52 +125,41 @@ def graph_of(s: LabelledSequent) -> SequentGraph:
     )
 
 
-def _edge_pairs(s: LabelledSequent) -> set[tuple[Label, Label]]:
-    # Parallel edges with different agent labels collapse to one arc; the
-    # graph's edge set lives over V x V.
-    return {(src, tgt) for _, src, tgt in s.rel}
+def _adjacency(s: LabelledSequent, agent: int | None) -> dict[Label, list[Label]]:
+    # Edges are read both ways; with ``agent`` given, only its atoms count.
+    adjacency: dict[Label, list[Label]] = {w: [] for w in s.labels()}
+    for a, src, tgt in s.rel:
+        if agent is None or a == agent:
+            adjacency[src].append(tgt)
+            adjacency[tgt].append(src)
+    return adjacency
 
 
-def _components(labels: Iterable[Label], pairs: Iterable[tuple[Label, Label]]):
-    parent = {w: w for w in labels}
-
-    def find(w: Label) -> Label:
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    groups: dict[Label, set[Label]] = {}
-    for w in parent:
-        groups.setdefault(find(w), set()).add(w)
-    return [frozenset(g) for g in groups.values()]
+def _walk(adjacency: Mapping[Label, list[Label]], start: Label) -> frozenset[Label]:
+    seen = {start}
+    todo = [start]
+    while todo:
+        for u in adjacency[todo.pop()]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return frozenset(seen)
 
 
-def is_forestlike(s: LabelledSequent) -> bool:
-    """True when the sequent graph is a disjoint union of rooted trees.
-
-    Agent labels on edges are ignored; the check is meant for single-agent
-    sequents, where every edge carries agent 1 anyway.
-    """
-    labels = s.labels()
-    pairs = _edge_pairs(s)
-    in_deg = {w: 0 for w in labels}
-    for _, tgt in pairs:
-        in_deg[tgt] += 1
-        if in_deg[tgt] > 1:
-            return False
-    # With in-degree <= 1 everywhere, each weakly connected component is a
-    # tree exactly when it has one in-degree-0 vertex (its root).
-    for component in _components(labels, pairs):
-        roots = [w for w in component if in_deg[w] == 0]
-        if len(roots) != 1:
-            return False
-    return True
+def components(
+    s: LabelledSequent, agent: int | None = None
+) -> tuple[frozenset[Label], ...]:
+    """The weakly connected components of the sequent graph, sorted by their
+    least label.  With ``agent`` given, only that agent's atoms are edges."""
+    adjacency = _adjacency(s, agent)
+    blocks: list[frozenset[Label]] = []
+    placed: set[Label] = set()
+    for w in adjacency:  # ascending, as s.labels() is
+        if w not in placed:
+            block = _walk(adjacency, w)
+            placed |= block
+            blocks.append(block)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -179,25 +168,50 @@ class ChoiceTree:
     members: frozenset[Label]
 
 
-def choice_trees(s: LabelledSequent) -> tuple[ChoiceTree, ...]:
-    """The trees of a forestlike sequent, sorted by root label."""
-    if not is_forestlike(s):
-        raise ValueError("sequent graph is not forestlike")
-    pairs = _edge_pairs(s)
+def _forest(s: LabelledSequent) -> tuple[ChoiceTree, ...] | None:
+    """The trees of the sequent graph sorted by root, or ``None`` when the
+    graph is not a forest."""
+    # Parallel atoms with different agents collapse to one edge of V x V.
+    pairs = {(src, tgt) for _, src, tgt in s.rel}
     targets = {tgt for _, tgt in pairs}
+    if len(targets) < len(pairs):
+        return None  # some label has in-degree two
+    # With in-degree <= 1 everywhere, each component is a tree exactly when
+    # it has one in-degree-0 label (its root).
     trees = []
-    for component in _components(s.labels(), pairs):
-        (root,) = [w for w in component if w not in targets]
-        trees.append(ChoiceTree(root=root, members=component))
+    for members in components(s):
+        roots = members - targets
+        if len(roots) != 1:
+            return None
+        (root,) = roots
+        trees.append(ChoiceTree(root=root, members=members))
     return tuple(sorted(trees, key=lambda t: t.root))
 
 
+def is_forestlike(s: LabelledSequent) -> bool:
+    """True when the sequent graph is a disjoint union of rooted trees.
+
+    Agent labels on edges are ignored; the check is meant for single-agent
+    sequents, where every edge carries agent 1 anyway.
+    """
+    return _forest(s) is not None
+
+
+def choice_trees(s: LabelledSequent) -> tuple[ChoiceTree, ...]:
+    """The trees of a forestlike sequent, sorted by root label."""
+    trees = _forest(s)
+    if trees is None:
+        raise ValueError("sequent graph is not forestlike")
+    return trees
+
+
 def tree_of(s: LabelledSequent, label: Label) -> frozenset[Label]:
-    """Members of the weakly connected component containing ``label``."""
-    for component in _components(s.labels(), _edge_pairs(s)):
-        if label in component:
-            return component
-    raise ValueError(f"label w{label} does not occur in the sequent")
+    """Members of the weakly connected component containing ``label``,
+    found by walking out from ``label`` alone."""
+    adjacency = _adjacency(s, None)
+    if label not in adjacency:
+        raise ValueError(f"label w{label} does not occur in the sequent")
+    return _walk(adjacency, label)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Criteria 3-6 share one corpus sweep: every normal-form formula over {p, q}
 with at most three connectives, plus 500 seeded random formulas of depth at
 most four, each decided at choice bounds 0, 1 and 2 by both the search
-procedure and the enumeration oracle.  The sweep also verifies every
-certificate and counter-model it produces and records every monitored
-size-bound excess.
+procedure and the enumeration oracle.  The sweep folds the records of
+``stitprover.differential.runs``, which checks every certificate and
+counter-model, and records every monitored size-bound excess.
 """
 
 import random
@@ -27,11 +27,8 @@ from stitprover import (
     Valid,
     ValidUpToBound,
     check_derivation,
-    check_frame,
     decide_by_enumeration,
     enumerate_formulas,
-    evaluate,
-    extract_countermodel,
     graph_of,
     parse,
     pretty,
@@ -39,6 +36,7 @@ from stitprover import (
     random_formula,
     side_condition_holds,
 )
+from stitprover.differential import AXIOMS, runs
 
 
 def _line(number: int, description: str, ok: bool) -> None:
@@ -113,35 +111,6 @@ def test_criterion_1_worked_examples():
 # Criterion 2: the axiom suite is provable and valid in under five seconds
 # ---------------------------------------------------------------------------
 
-AXIOMS = [
-    # Propositional base.
-    ("p -> (q -> p)", 0),
-    ("(~q -> ~p) -> (p -> q)", 0),
-    ("(p -> (q -> r)) -> ((p -> q) -> (p -> r))", 0),
-    # S5 for the historic modality.
-    ("box (p -> q) -> (box p -> box q)", 0),
-    ("box p -> p", 0),
-    ("dia p -> box dia p", 0),
-    ("box p | dia ~p", 0),
-    # S5 for the agentive modality.
-    ("[1] (p -> q) -> ([1] p -> [1] q)", 0),
-    ("[1] p -> p", 0),
-    ("<1> p -> [1] <1> p", 0),
-    ("[1] p | <1> ~p", 0),
-    # Settledness implies agentive necessity.
-    ("box p -> [1] p", 0),
-    # Independence of agents is trivial for one agent.
-    ("dia [1] p -> dia [1] p", 0),
-    # Bounded choice, one axiom per bound.
-    ("dia [1] p -> p", 1),
-    ("dia [1] p & dia (~p & [1] q) -> p | q", 2),
-    (
-        "dia [1] p & dia (~p & [1] q) & dia (~p & ~q & [1] r) -> p | q | r",
-        3,
-    ),
-]
-
-
 def test_criterion_2_axiom_suite():
     start = time.perf_counter()
     failures = []
@@ -180,6 +149,10 @@ class SweepReport:
 BOUNDS = (0, 1, 2)
 
 
+def _where(run, message: str) -> str:
+    return f"n={run.choices}: {pretty(run.goal)}: {message}"
+
+
 @pytest.fixture(scope="module")
 def sweep():
     start = time.perf_counter()
@@ -190,43 +163,25 @@ def sweep():
     rng = random.Random(7)
     goals.extend(random_formula(rng, 4, ("p", "q")) for _ in range(500))
 
-    for goal in goals:
-        for n in BOUNDS:
-            report.runs += 1
-            result = prove(ProverConfig(choices=n), goal)
-            verdict = decide_by_enumeration(goal, choices=n)
-            if isinstance(result, Provable) != isinstance(verdict, Valid):
-                report.disagreements.append(
-                    f"n={n}: {pretty(goal)} (search says "
-                    f"{type(result).__name__}, oracle says "
-                    f"{type(verdict).__name__})"
-                )
-            if result.stats.bound_violations:
-                report.violation_runs.append(
-                    (pretty(goal), n, tuple(result.stats.bound_violations))
-                )
-            if isinstance(result, Provable):
-                report.provable_runs += 1
-                cfg = CalculusConfig(agents=1, choices=n, mode=Mode.REFINED)
-                outcome = check_derivation(cfg, result.derivation)
-                if not outcome.ok:
-                    report.certificate_failures.append(
-                        f"n={n}: {pretty(goal)} at {outcome.path}: {outcome.error}"
-                    )
-                elif report.provable_runs % 50 == 1:
-                    report.derivation_sample.append((n, result.derivation))
-            else:
-                report.unprovable_runs += 1
-                model, interp = extract_countermodel(result.stable, 0, choices=n)
-                frame = check_frame(model, agents=1, choices=n)
-                if not frame.ok:
-                    report.model_failures.append(
-                        f"n={n}: {pretty(goal)} frame: {frame.violations}"
-                    )
-                elif evaluate(model, interp[0], goal):
-                    report.model_failures.append(
-                        f"n={n}: {pretty(goal)} not falsified at its label"
-                    )
+    for run in runs((goal, n) for goal in goals for n in BOUNDS):
+        report.runs += 1
+        provable = isinstance(run.result, Provable)
+        if not run.agrees:
+            report.disagreements.append(_where(run, run.problems[0]))
+        if run.evidence_error is not None:
+            failures = (
+                report.certificate_failures if provable else report.model_failures
+            )
+            failures.append(_where(run, run.evidence_error))
+        if run.result.stats.bound_violations:
+            violations = tuple(run.result.stats.bound_violations)
+            report.violation_runs.append((pretty(run.goal), run.choices, violations))
+        if provable:
+            report.provable_runs += 1
+            if run.evidence_error is None and report.provable_runs % 50 == 1:
+                report.derivation_sample.append((run.choices, run.result.derivation))
+        else:
+            report.unprovable_runs += 1
 
     report.elapsed = time.perf_counter() - start
     return report

@@ -35,6 +35,14 @@ def test_prove_rejects_garbage(capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize(
+    "text", ["(" * 1200 + "p" + ")" * 1200, "box " * 1500 + "p"]
+)
+def test_prove_rejects_over_deep_input(text, capsys):
+    assert main(["prove", text]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_prove_step_cap_is_an_internal_failure(capsys):
     assert main(["prove", "p | ~p", "--max-steps", "1"]) == 3
     assert "cap" in capsys.readouterr().err
@@ -132,6 +140,19 @@ def test_oracle_respects_the_choice_bound(capsys):
 def test_fuzz_agrees_on_a_small_batch(capsys):
     assert main(["fuzz", "--count", "25", "--depth", "2", "--seed", "11"]) == 0
     assert "agreement: 25/25" in capsys.readouterr().out
+
+
+def test_fuzz_fails_on_rejected_evidence(monkeypatch, capsys):
+    from stitprover import differential
+
+    honest = differential.prove
+    # Every goal gets the verdict and stable sequent of ``p``: the oracle
+    # agrees on refuted goals, but the model need not falsify the goal.
+    monkeypatch.setattr(
+        differential, "prove", lambda cfg, goal: honest(cfg, parse("p"))
+    )
+    assert main(["fuzz", "--count", "25", "--depth", "2", "--seed", "11"]) == 1
+    assert "failure on formula" in capsys.readouterr().out
 
 
 def test_fuzz_rejects_an_absurd_atom_count(capsys):

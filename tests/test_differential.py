@@ -1,0 +1,159 @@
+"""Tests for the shared prove-vs-oracle loop and the scripts that fold it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from stitprover import (
+    CounterModel,
+    Derivation,
+    LabelledFormula,
+    LabelledSequent,
+    Model,
+    Provable,
+    Unprovable,
+    Valid,
+    parse,
+)
+from stitprover import differential
+from stitprover.differential import AXIOMS, runs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def only_run(text: str, n: int = 0):
+    (run,) = runs([(parse(text), n)])
+    return run
+
+
+def drop_a_leaf_formula(node: Derivation) -> Derivation:
+    """The same derivation with the last formula of its first leaf dropped."""
+    if not node.premises:
+        w, f = node.conclusion.forms[-1]
+        return Derivation(
+            node.conclusion.without_form(w, f), node.rule, node.principal
+        )
+    first = drop_a_leaf_formula(node.premises[0])
+    return Derivation(
+        node.conclusion, node.rule, node.principal, (first,) + node.premises[1:]
+    )
+
+
+def test_honest_runs_have_no_problems():
+    for text, n in [("box p -> [1] p", 0), ("dia [1] p -> p", 0), ("p", 1)]:
+        run = only_run(text, n)
+        assert run.agrees
+        assert run.evidence_error is None
+        assert run.problems == ()
+
+
+def test_the_axioms_parse_and_are_valid_at_their_bounds():
+    assert len(AXIOMS) == 16
+    cheap = [(parse(text), n) for text, n in AXIOMS if n < 3]
+    assert all(run.problems == () for run in runs(cheap))
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("p | ~p", CounterModel(Model((0,), {1: frozenset({(0, 0)})}, {}), 0)),
+        ("p", Valid(bound=1)),
+    ],
+)
+def test_an_oracle_disagreement_is_named(monkeypatch, text, verdict):
+    monkeypatch.setattr(
+        differential, "decide_by_enumeration", lambda goal, choices: verdict
+    )
+    run = only_run(text)
+    assert not run.agrees
+    assert run.evidence_error is None
+    assert run.problems == (
+        f"search says {type(run.result).__name__}, "
+        f"oracle says {type(verdict).__name__}",
+    )
+
+
+def test_a_certificate_with_a_formula_dropped_is_rejected(monkeypatch):
+    honest = differential.prove
+
+    def tampered(cfg, goal):
+        result = honest(cfg, goal)
+        return Provable(drop_a_leaf_formula(result.derivation), result.stats)
+
+    monkeypatch.setattr(differential, "prove", tampered)
+    run = only_run("box p -> [1] p")
+    assert run.agrees
+    assert run.evidence_error.startswith("certificate rejected at root.")
+    assert run.problems == (run.evidence_error,)
+
+
+def test_a_certificate_of_another_goal_is_rejected(monkeypatch):
+    honest = differential.prove
+    monkeypatch.setattr(
+        differential, "prove", lambda cfg, goal: honest(cfg, parse("q | ~q"))
+    )
+    run = only_run("p | ~p")
+    assert run.agrees
+    assert run.evidence_error.startswith("certificate proves another sequent")
+
+
+def test_a_counter_model_that_satisfies_the_goal_is_rejected(monkeypatch):
+    honest = differential.prove
+    # The stable sequent of ``p`` makes p false at w0, so ~p holds there.
+    monkeypatch.setattr(
+        differential, "prove", lambda cfg, goal: honest(cfg, parse("p"))
+    )
+    run = only_run("~p")
+    assert run.agrees
+    assert run.evidence_error == "counter-model satisfies the goal at w0"
+
+
+def test_an_unstable_sequent_yields_no_counter_model(monkeypatch):
+    honest = differential.prove
+
+    def unstable(cfg, goal):
+        result = honest(cfg, goal)
+        s = LabelledSequent(forms=[LabelledFormula(0, goal)])
+        return Unprovable(s, result.stats)
+
+    monkeypatch.setattr(differential, "prove", unstable)
+    run = only_run("box p")
+    assert run.agrees
+    assert run.evidence_error.startswith("no counter-model")
+
+
+# ---------------------------------------------------------------------------
+# The experiment scripts
+# ---------------------------------------------------------------------------
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_differential_script_runs_a_small_sweep():
+    proc = run_script("run_differential.py", "--max-connectives", "1",
+                      "--bounds", "0,1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "104 runs over 52 goals" in proc.stdout
+    assert "disagreements: 0" in proc.stdout
+    assert "evidence failures: 0" in proc.stdout
+
+
+def test_axiom_script_starts():
+    proc = run_script("run_axiom_suite.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "characteristic axioms" in proc.stdout

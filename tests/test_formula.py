@@ -25,6 +25,7 @@ from stitprover import (
 )
 from stitprover.formula import (
     FALSE,
+    MAX_NESTING,
     RESERVED_ATOM,
     TRUE,
     agents_of,
@@ -209,6 +210,44 @@ def test_parse_rejects_malformed_input(text):
 
 def test_parse_error_is_a_value_error():
     assert issubclass(ParseError, ValueError)
+
+
+N = MAX_NESTING
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "box " * N + "p",
+        "(" * N + "p" + ")" * N,
+        "p" + " & p" * N,
+        "p" + " -> p" * N,
+    ],
+)
+def test_formulas_at_the_nesting_limit_survive_recursive_functions(text):
+    f = parse(text)
+    hash(f)
+    assert negate(negate(f)) == f
+    assert parse(pretty(f)) == f
+    assert subformulae(f)[0] == f
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "box " * (N + 1) + "p",
+        "box " * N + "(p & q)",
+        "(" * (N + 1) + "p" + ")" * (N + 1),
+        "p" + " & p" * (N + 1),
+        "p" + " -> p" * (N + 1),
+        "!" * (N + 1) + "p",
+        "(" * 1200 + "p" + ")" * 1200,
+        "box " * 1500 + "p",
+    ],
+)
+def test_parse_rejects_input_nested_past_the_limit(text):
+    with pytest.raises(ParseError, match=f"{N}"):
+        parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,13 @@
-"""Tests for relational-path propagation: automata, side condition, components."""
+"""Tests for relational-path propagation: automata, side condition, components.
+
+The propagation automaton is kept here as a string-enumeration reference:
+the library decides the side condition by a label walk, and
+``test_side_condition_matches_string_enumeration`` checks it against the
+automaton's words.
+"""
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -9,10 +18,47 @@ from stitprover import (
     LabelledFormula,
     LabelledSequent,
     RelAtom,
-    automaton_of,
     side_condition_holds,
 )
 from stitprover.propagation import same_component
+from stitprover.sequent import Label
+
+
+@dataclass(frozen=True)
+class PropagationAutomaton:
+    """One state per label; every ``R_i v v'`` gives ``v -i-> v'`` and
+    ``v' -i-> v``."""
+
+    states: frozenset[Label]
+    initial: Label
+    final: Label
+    transitions: frozenset[tuple[Label, int, Label]]  # (state, agent, state)
+
+    def step(self, states: frozenset[Label], letter: int) -> frozenset[Label]:
+        return frozenset(
+            t for (s, a, t) in self.transitions if a == letter and s in states
+        )
+
+    def accepts(self, word: Sequence[int]) -> bool:
+        current = frozenset({self.initial})
+        for letter in word:
+            current = self.step(current, letter)
+            if not current:
+                return False
+        return self.final in current
+
+
+def automaton_of(s: LabelledSequent, start: Label, end: Label) -> PropagationAutomaton:
+    states = frozenset(s.labels())
+    if start not in states or end not in states:
+        raise ValueError(f"labels w{start}, w{end} must occur in the sequent")
+    transitions = set()
+    for agent, src, tgt in s.rel:
+        transitions.add((src, agent, tgt))
+        transitions.add((tgt, agent, src))
+    return PropagationAutomaton(
+        states=states, initial=start, final=end, transitions=frozenset(transitions)
+    )
 
 W, U, V, Z = 0, 1, 2, 3
 
