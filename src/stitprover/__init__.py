@@ -19,6 +19,7 @@ from .calculus import (
     check_inference,
     derivation_from_json,
     derivation_to_json,
+    side_condition_holds,
 )
 from .formula import (
     AgBox,
@@ -38,7 +39,6 @@ from .formula import (
     pretty,
 )
 from .generate import enumerate_formulas, random_formula
-from .propagation import side_condition_holds
 from .prover import (
     InternalInvariantError,
     Provable,

@@ -15,7 +15,9 @@ Four subcommands:
 Exit status: 0 provable/valid certificate/valid formula/full agreement;
 1 unprovable, invalid certificate, counter-model found, disagreement, or
 rejected evidence;
-2 usage or input error; 3 internal invariant failure.
+2 usage or input error (a certificate nested too deeply to read included);
+3 internal invariant failure, search cap, or recursion limit (a
+certificate nested too deeply to write included).
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as err:
         print(f"internal invariant violated: {err}", file=sys.stderr)
         return 3
+    except RecursionError as err:
+        print(f"internal limit: {err}", file=sys.stderr)
+        return 3
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +114,10 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    obj = _read_json(args.proof)
     try:
-        cfg, root = derivation_from_json(obj)
+        cfg, root = derivation_from_json(_read_json(args.proof))
+    except RecursionError as err:
+        raise _UsageError(f"{args.proof} is nested too deeply to read") from err
     except (KeyError, TypeError, ValueError) as err:
         raise _UsageError(f"malformed certificate: {err}") from err
     for flag, declared, label in (
@@ -201,10 +207,10 @@ def _read_json(path: str) -> dict:
 
 
 def _write_json(path: str, obj: dict) -> None:
+    text = json.dumps(obj, indent=2) + "\n"  # first, so a failure leaves no file
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     except OSError as err:
         raise _UsageError(f"cannot write {path}: {err}") from err
 

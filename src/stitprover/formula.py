@@ -227,9 +227,16 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 # keeps them all well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
+# The most nodes (subformula occurrences) of a formula `parse` builds.  Each
+# `<->` copies both of its operands twice, so a chain of them doubles the
+# syntax tree per link, and negating or hashing it walks every node; the
+# parser counts the nodes before it builds.
+MAX_NODES = 10_000
+
 
 class _Parser:
-    """Recursive descent; every rule returns a formula with its depth."""
+    """Recursive descent; every rule returns a formula with its depth and
+    node count."""
 
     def __init__(self, text: str, agents: int):
         self.agents = agents
@@ -264,74 +271,82 @@ class _Parser:
             )
         self.open += 1
 
-    def built(self, f: Formula, d: int, at: int) -> tuple[Formula, int]:
+    def measured(self, d: int, n: int, at: int) -> tuple[int, int]:
+        """Admit the depth and node count of a formula about to be built."""
         if d > MAX_NESTING:
             raise ParseError(f"formula deeper than {MAX_NESTING} at position {at}")
-        return f, d
+        if n > MAX_NODES:
+            raise ParseError(f"formula of over {MAX_NODES} nodes at position {at}")
+        return d, n
 
-    def formula(self) -> tuple[Formula, int]:
-        f, d = self.imp()
+    def formula(self) -> tuple[Formula, int, int]:
+        f, d, n = self.imp()
         while self.peek() == "<->":
             _, at = self.next()
-            g, e = self.imp()
-            f, d = self.built(iff(f, g), 2 + max(d, e), at)
-        return f, d
+            g, e, m = self.imp()
+            d, n = self.measured(2 + max(d, e), 3 + 2 * (n + m), at)
+            f = iff(f, g)
+        return f, d, n
 
-    def imp(self) -> tuple[Formula, int]:
-        f, d = self.disj()
+    def imp(self) -> tuple[Formula, int, int]:
+        f, d, n = self.disj()
         if self.peek() == "->":
             _, at = self.next()
             self.enter(at)
-            g, e = self.imp()
+            g, e, m = self.imp()
             self.open -= 1
-            return self.built(implies(f, g), 1 + max(d, e), at)
-        return f, d
+            d, n = self.measured(1 + max(d, e), 1 + n + m, at)
+            return implies(f, g), d, n
+        return f, d, n
 
-    def disj(self) -> tuple[Formula, int]:
-        f, d = self.conj()
+    def disj(self) -> tuple[Formula, int, int]:
+        f, d, n = self.conj()
         while self.peek() == "|":
             _, at = self.next()
-            g, e = self.conj()
-            f, d = self.built(Or(f, g), 1 + max(d, e), at)
-        return f, d
+            g, e, m = self.conj()
+            d, n = self.measured(1 + max(d, e), 1 + n + m, at)
+            f = Or(f, g)
+        return f, d, n
 
-    def conj(self) -> tuple[Formula, int]:
-        f, d = self.unary()
+    def conj(self) -> tuple[Formula, int, int]:
+        f, d, n = self.unary()
         while self.peek() == "&":
             _, at = self.next()
-            g, e = self.unary()
-            f, d = self.built(And(f, g), 1 + max(d, e), at)
-        return f, d
+            g, e, m = self.unary()
+            d, n = self.measured(1 + max(d, e), 1 + n + m, at)
+            f = And(f, g)
+        return f, d, n
 
-    def unary(self) -> tuple[Formula, int]:
+    def unary(self) -> tuple[Formula, int, int]:
         tok, at = self.next()
         if tok == "~":
             name, at = self.next()
             if not name[0].isalpha() and name[0] != "_" or name in _KEYWORDS:
                 raise ParseError(f"expected an atom after '~' at position {at}")
-            return NegAtom(name), 0
+            return NegAtom(name), 0, 1
         if tok == "true":
-            return TRUE, 1
+            return TRUE, 1, 3
         if tok == "false":
-            return FALSE, 1
+            return FALSE, 1, 3
         if tok == "(":
             self.enter(at)
-            f, d = self.formula()
+            f, d, n = self.formula()
             self.expect(")")
             self.open -= 1
-            return f, d
+            return f, d, n
         if (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
-            return Atom(tok), 0
+            return Atom(tok), 0, 1
         if tok in ("[", "<"):
             agent = self.agent_index()
             self.expect("]" if tok == "[" else ">")
         elif tok not in ("!", "box", "dia"):
             raise ParseError(f"unexpected token {tok!r} at position {at}")
         self.enter(at)
-        body, d = self.unary()
+        body, d, n = self.unary()
         self.open -= 1
         if tok == "!":
-            return negate(body), d
+            return negate(body), d, n
+        d, n = self.measured(1 + d, 1 + n, at)
         if tok == "box":
             f = Box(body)
         elif tok == "dia":
@@ -340,7 +355,7 @@ class _Parser:
             f = AgBox(agent, body)
         else:
             f = AgDia(agent, body)
-        return self.built(f, 1 + d, at)
+        return f, d, n
 
     def agent_index(self) -> int:
         tok, at = self.next()
@@ -357,10 +372,11 @@ class _Parser:
 def parse(text: str, agents: int = 1) -> Formula:
     """Parse surface syntax into an NNF formula over agents ``1..agents``.
 
-    Input nested deeper than ``MAX_NESTING`` is a `ParseError`.
+    Input nested deeper than ``MAX_NESTING``, or a formula of more than
+    ``MAX_NODES`` nodes, is a `ParseError`.
     """
     parser = _Parser(text, agents)
-    f, _ = parser.formula()
+    f, _, _ = parser.formula()
     if parser.pos != len(parser.tokens):
         tok, at = parser.tokens[parser.pos]
         raise ParseError(f"trailing input {tok!r} at position {at}")

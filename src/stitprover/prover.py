@@ -5,9 +5,8 @@ instruction of the following priority list that fires (scanning labels in
 ascending order and formulas in insertion order, for reproducibility):
 
 1. an atomic clash ``w:p, w:~p`` closes the branch (rule ``id``);
-2. when no other instruction fires, the sequent is *stable* — saturated,
-   realized, propagated, and within the choice bound — so it refutes the
-   goal and is returned as a counter-model seed;
+2. when no other instruction fires, the sequent is *stable*, so it
+   refutes the goal and is returned as a counter-model seed;
 3. (i) unsaturated disjunctions add both disjuncts; (ii) unsaturated
    conjunctions branch, one conjunct per premise;
 4. an agentive diamond ``w:<1>f`` copies ``f`` to a choice-tree mate of
@@ -20,21 +19,23 @@ ascending order and formulas in insertion order, for reproducibility):
 8. with a positive choice bound ``n``, more than ``n`` choice-trees trigger
    a case split joining two of the ``n+1`` smallest roots per premise.
 
-Instruction 2 is the fall-through: the loop reaches it when 1 and 3-8 do
-not fire.  Each of 3-8 fires exactly when its clause of ``is_stable`` fails
-(3 saturation of ``|`` and ``&``, 4-5 propagation, 6-7 realization, 8 the
-choice bound).  The one clause left, "no complementary pair at a label",
-follows by induction on the formula: where nothing fires, ``f & g`` against
+``_step`` is the one statement of instructions 1 and 3-8: it returns the
+first that fires.  Instruction 2 is ``_step`` returning ``None``, and
+``is_stable`` is that together with the one clause ``_step`` does not test,
+"no complementary pair at a label".  At the leaf that clause follows by
+induction on the formula: where nothing fires, ``f & g`` against
 ``~f | ~g`` leaves ``~f``, ``~g`` and one of ``f, g`` at the label; ``box f``
 against ``dia ~f`` leaves ``f`` at some ``u`` and ``~f`` at every label;
 ``[1] f`` against ``<1> ~f`` does the same within a choice tree.  So a
 compound pair implies an atomic clash, which instruction 1 would have
-closed.  The search still asserts ``is_stable`` at the leaf it returns.
+closed.  The search asserts only that clause at the stable leaf it returns.
 
-Blocking conditions (the stability predicates below) ensure each instruction
-fires at most once per trigger, which gives termination.  Successful
-branches are folded into a refined-mode derivation via the step-to-rule
-correspondence; failed branches surface the stable sequent itself.
+Each of instructions 3-8 is blocked once it has done its work (the
+disjunct, conjunct or body is present, the box is realized, the trees are
+few enough), so it fires at most once per trigger, which gives termination.
+Successful branches are folded into a refined-mode derivation via the
+step-to-rule correspondence; failed branches surface the stable sequent
+itself.
 
 Size bounds.  Let ``h`` be the number of ``box`` occurrences in the goal and
 ``a`` the number of ``[1]`` occurrences.  Every sequent the search builds has
@@ -143,88 +144,20 @@ ProveResult = Provable | Unprovable
 
 
 # ---------------------------------------------------------------------------
-# Stability predicates
+# Stability
 # ---------------------------------------------------------------------------
 
 
-def is_saturated(s: LabelledSequent, w: int) -> bool:
-    """No complementary pair at ``w``; disjunctions have both disjuncts;
-    conjunctions have at least one conjunct."""
-    for f in s.forms_at(w):
-        if s.has_form(w, negate(f)):
-            return False
-        match f:
-            case Or(left, right):
-                if not (s.has_form(w, left) and s.has_form(w, right)):
-                    return False
-            case And(left, right):
-                if not (s.has_form(w, left) or s.has_form(w, right)):
-                    return False
-    return True
-
-
-def is_box_realized(s: LabelledSequent, w: int) -> bool:
-    """Every ``w:box f`` has some label carrying ``f``."""
-    labels = s.labels()
-    return all(
-        any(s.has_form(u, f.body) for u in labels)
-        for f in s.forms_at(w)
-        if isinstance(f, Box)
+def _complementary_pair(s: LabelledSequent) -> LabelledFormula | None:
+    """Some ``w: f`` whose negation ``w: ~f`` is in the sequent too."""
+    return next(
+        (lf for lf in s.forms if s.has_form(lf.label, negate(lf.formula))), None
     )
-
-
-def is_agbox_realized(s: LabelledSequent, w: int) -> bool:
-    """Every ``w:[1]f`` has some label in ``w``'s choice-tree carrying ``f``."""
-    members: frozenset[int] | None = None
-    for f in s.forms_at(w):
-        if isinstance(f, AgBox):
-            if members is None:
-                members = tree_of(s, w)
-            if not any(s.has_form(u, f.body) for u in members):
-                return False
-    return True
-
-
-def is_dia_propagated(s: LabelledSequent, w: int) -> bool:
-    """Every ``w:dia f`` has ``f`` at *all* labels."""
-    labels = s.labels()
-    return all(
-        all(s.has_form(u, f.body) for u in labels)
-        for f in s.forms_at(w)
-        if isinstance(f, Dia)
-    )
-
-
-def is_agdia_propagated(s: LabelledSequent, w: int) -> bool:
-    """Every ``w:<1>f`` has ``f`` at all labels of ``w``'s choice-tree."""
-    members: frozenset[int] | None = None
-    for f in s.forms_at(w):
-        if isinstance(f, AgDia):
-            if members is None:
-                members = tree_of(s, w)
-            if not all(s.has_form(u, f.body) for u in members):
-                return False
-    return True
-
-
-def is_n_choice_consistent(s: LabelledSequent, n: int) -> bool:
-    """At most ``n`` choice-trees.  Callers skip this check when n = 0."""
-    return len(choice_trees(s)) <= n
 
 
 def is_stable(s: LabelledSequent, n: int) -> bool:
-    """Saturated, realized, and propagated everywhere; within the
-    choice-tree budget when ``n`` is positive."""
-    for w in s.labels():
-        if not (
-            is_saturated(s, w)
-            and is_box_realized(s, w)
-            and is_agbox_realized(s, w)
-            and is_dia_propagated(s, w)
-            and is_agdia_propagated(s, w)
-        ):
-            return False
-    return n == 0 or is_n_choice_consistent(s, n)
+    """No complementary pair at any label, and no instruction fires."""
+    return _complementary_pair(s) is None and _step(s, n) is None
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +195,19 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
     return Provable(outcome, stats)
 
 
-def _fire(
-    s: LabelledSequent, scan: list[tuple[int, Formula]]
+def _step(
+    s: LabelledSequent, n: int
 ) -> tuple[RuleTag, dict, tuple[LabelledSequent, ...]] | None:
-    """The first of instructions 3-7 that fires on ``s``: its rule, its
-    principal data and its premises (two for the case split of 3(ii))."""
+    """The first of instructions 1 and 3-8 that fires on ``s`` at choice
+    bound ``n``: its rule, its principal data and its premises (none for a
+    clash, one per case for the splits of 3(ii) and 8)."""
+    scan = [(w, f) for w in s.labels() for f in s.forms_at(w)]
+
+    # 1. atomic clash
+    for w, f in scan:
+        if isinstance(f, (Atom, NegAtom)) and s.has_form(w, negate(f)):
+            return RuleTag.ID, {"label": w, "atom": f.name}, ()
+
     # 3(i). disjunction missing a disjunct
     for w, f in scan:
         if isinstance(f, Or) and not (s.has_form(w, f.left) and s.has_form(w, f.right)):
@@ -320,6 +261,17 @@ def _fire(
             principal = {"label": w, "formula": f, "fresh": v}
             premise = s.extended(forms=[LabelledFormula(v, f.body)])
             return RuleTag.BOX, principal, (premise,)
+
+    # 8. too many choice-trees — join roots pairwise, case per pair
+    trees = choice_trees(s) if n > 0 else ()
+    if len(trees) > n:
+        roots = tuple(t.root for t in trees[: n + 1])
+        premises = tuple(
+            s.extended(rel=[RelAtom(_AGENT, roots[k], roots[j])])
+            for k in range(n)
+            for j in range(k + 1, n + 1)
+        )
+        return RuleTag.APC, {"agent": _AGENT, "roots": roots}, premises
 
     return None
 
@@ -399,59 +351,35 @@ class _Searcher:
                 subderivs.append(outcome)
             return fold(Derivation(current, rule, principal, tuple(subderivs)))
 
+        n = self.cfg.choices
         while True:
-            scan = [(w, f) for w in current.labels() for f in current.forms_at(w)]
+            step = _step(current, n)
+            if step is None:
+                # 2. nothing fires, so the sequent is stable — refutation found
+                pair = _complementary_pair(current)
+                if pair is not None:
+                    raise InternalInvariantError(
+                        f"complementary pair at w{pair.label} of the sequent "
+                        f"no instruction applies to: {current.show()}"
+                    )
+                return current
 
-            # 1. atomic clash
-            clash = next(
-                (
-                    (w, f.name)
-                    for w, f in scan
-                    if isinstance(f, (Atom, NegAtom))
-                    and current.has_form(w, negate(f))
-                ),
-                None,
-            )
-            if clash is not None:
+            rule, principal, premises = step
+            if rule is RuleTag.ID:
                 self._tick()
-                w, name = clash
-                leaf = Derivation(current, RuleTag.ID, {"label": w, "atom": name})
-                return fold(leaf)
-
-            # 3-7. one premise extends the sequent; 3(ii) splits in two
-            fired = _fire(current, scan)
-            if fired is not None:
-                rule, principal, premises = fired
-                if rule is RuleTag.AND:
-                    return split(rule, principal, premises, apc_edges)
-                self._tick()
-                trail.append((current, rule, principal))
-                (current,) = premises
-                self.note(current, apc_edges)
-                continue
-
-            # 8. too many choice-trees — join roots pairwise, case per pair
-            n = self.cfg.choices
-            trees = choice_trees(current) if n > 0 else ()
-            if len(trees) > n:
-                roots = tuple(t.root for t in trees[: n + 1])
-                premises = [
-                    current.extended(rel=[RelAtom(_AGENT, roots[k], roots[j])])
-                    for k in range(n)
-                    for j in range(k + 1, n + 1)
-                ]
+                return fold(Derivation(current, rule, principal))
+            if rule is RuleTag.AND:
+                return split(rule, principal, premises, apc_edges)
+            if rule is RuleTag.APC:
+                trees = len(components(current))
                 for premise in premises:
-                    if len(components(premise)) != len(trees) - 1:
+                    if len(components(premise)) != trees - 1:
                         raise InternalInvariantError(
                             "joining two roots must reduce the choice-tree "
                             f"count by one: {premise.show()}"
                         )
-                principal = {"agent": _AGENT, "roots": roots}
-                return split(RuleTag.APC, principal, premises, apc_edges + 1)
-
-            # 2. nothing fires, so the sequent is stable — refutation found
-            if not is_stable(current, n):
-                raise InternalInvariantError(
-                    f"no instruction applies to the unstable sequent {current.show()}"
-                )
-            return current
+                return split(rule, principal, premises, apc_edges + 1)
+            self._tick()
+            trail.append((current, rule, principal))
+            (current,) = premises
+            self.note(current, apc_edges)

@@ -38,8 +38,7 @@ from .formula import (
     pretty,
     subformulae,
 )
-from .sequent import LabelledSequent
-from .propagation import same_component
+from .sequent import LabelledSequent, components
 
 # ---------------------------------------------------------------------------
 # Models
@@ -99,10 +98,7 @@ def check_frame(model: Model, agents: int, choices: int) -> FrameReport:
     if violations:
         return FrameReport(False, tuple(violations))
 
-    neighborhoods = {
-        agent: {w: frozenset(v for u, v in model.rel[agent] if u == w) for w in worlds}
-        for agent in range(1, agents + 1)
-    }
+    neighborhoods = _cells_of(model)
 
     # C2: independence of agents.
     for combo in itertools.product(sorted(worlds), repeat=agents):
@@ -227,7 +223,7 @@ def extract_countermodel(
     worlds = stable.labels()
     if goal_label not in worlds:
         raise ValueError(f"goal label w{goal_label} does not occur in the sequent")
-    blocks = same_component(stable, 1)
+    blocks = components(stable, 1)
     pairs = frozenset(
         (u, v) for block in blocks for u in block for v in block
     )

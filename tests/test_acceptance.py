@@ -5,9 +5,13 @@ with at most three connectives, plus 500 seeded random formulas of depth at
 most four, each decided at choice bounds 0, 1 and 2 by both the search
 procedure and the enumeration oracle.  The sweep folds the records of
 ``stitprover.differential.runs``, which checks every certificate and
-counter-model, and records every monitored size-bound excess.
+counter-model, and records every monitored size-bound excess.  It also
+folds every run's verdict, statistics and evidence into one SHA-256, so a
+refactor that changes any certificate or stable sequent shows up.
 """
 
+import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -28,12 +32,14 @@ from stitprover import (
     ValidUpToBound,
     check_derivation,
     decide_by_enumeration,
+    derivation_to_json,
     enumerate_formulas,
     graph_of,
     parse,
     pretty,
     prove,
     random_formula,
+    sequent_to_json,
     side_condition_holds,
 )
 from stitprover.differential import AXIOMS, runs
@@ -143,6 +149,7 @@ class SweepReport:
     model_failures: list = field(default_factory=list)
     violation_runs: list = field(default_factory=list)
     derivation_sample: list = field(default_factory=list)
+    digest: str = ""
     elapsed: float = 0.0
 
 
@@ -151,6 +158,26 @@ BOUNDS = (0, 1, 2)
 
 def _where(run, message: str) -> str:
     return f"n={run.choices}: {pretty(run.goal)}: {message}"
+
+
+def _behaviour(run) -> bytes:
+    """One sorted-key JSON line: verdict, steps, peak labels, bound
+    excesses, and the certificate or stable sequent."""
+    result = run.result
+    if isinstance(result, Provable):
+        cfg = CalculusConfig(agents=1, choices=run.choices, mode=Mode.REFINED)
+        evidence = derivation_to_json(cfg, result.derivation)
+    else:
+        evidence = sequent_to_json(result.stable)
+    stats = result.stats
+    record = [
+        type(result).__name__,
+        stats.steps,
+        stats.max_labels,
+        stats.bound_violations,
+        evidence,
+    ]
+    return (json.dumps(record, sort_keys=True) + "\n").encode()
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +190,10 @@ def sweep():
     rng = random.Random(7)
     goals.extend(random_formula(rng, 4, ("p", "q")) for _ in range(500))
 
+    digest = hashlib.sha256()
     for run in runs((goal, n) for goal in goals for n in BOUNDS):
         report.runs += 1
+        digest.update(_behaviour(run))
         provable = isinstance(run.result, Provable)
         if not run.agrees:
             report.disagreements.append(_where(run, run.problems[0]))
@@ -183,6 +212,7 @@ def sweep():
         else:
             report.unprovable_runs += 1
 
+    report.digest = digest.hexdigest()
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -208,6 +238,16 @@ def test_criterion_3_differential_agreement(sweep):
     assert sweep.runs == 75960
     assert sweep.disagreements == []
     assert sweep.elapsed < 600.0
+
+
+def test_sweep_behaviour_is_unchanged(sweep):
+    """Every verdict, step count, peak label count, bound excess,
+    certificate and stable sequent of the sweep, byte for byte.  A change
+    that alters the search's output on purpose must say why and record the
+    new value here."""
+    assert sweep.digest == (
+        "44afa80465e1f862750a4f9f986b6f0ada1906027dca9616260feb5f3c7663ab"
+    )
 
 
 # ---------------------------------------------------------------------------

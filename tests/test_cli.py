@@ -6,8 +6,18 @@ import sys
 
 import pytest
 
-from stitprover import check_frame, evaluate, model_from_json, parse
+from stitprover import (
+    Derivation,
+    LabelledSequent,
+    Provable,
+    RuleTag,
+    check_frame,
+    evaluate,
+    model_from_json,
+    parse,
+)
 from stitprover.cli import main
+from stitprover.prover import SearchStats
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +101,55 @@ def test_check_rejects_malformed_files(tmp_path, capsys):
     shallow = tmp_path / "shallow.json"
     shallow.write_text(json.dumps({"m": 1}))
     assert main(["check", str(shallow)]) == 2
+
+
+def test_check_rejects_a_certificate_too_deep_to_read(tmp_path, capsys):
+    # Written by hand: 700 nested ``or`` nodes over an ``id`` leaf.
+    node = '{"sequent": {"rel": [], "forms": []}, "rule": "%s", "principal": {}'
+    text = (
+        '{"m": 1, "n": 0, "mode": "refined", "derivation": '
+        + (node % "or" + ', "premises": [') * 700
+        + node % "id" + "}"
+        + "]}" * 700
+        + "}"
+    )
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert main(["check", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def _deep_certificate(monkeypatch):
+    from stitprover import cli
+
+    top = Derivation(LabelledSequent(), RuleTag.ID, {"label": 0, "atom": "p"})
+    for _ in range(2000):
+        top = Derivation(LabelledSequent(), RuleTag.OR, {}, (top,))
+    monkeypatch.setattr(cli, "prove", lambda cfg, goal: Provable(top, SearchStats()))
+
+
+def _deep_json(monkeypatch):
+    from stitprover import cli
+
+    obj: list = []
+    for _ in range(2000):
+        obj = [obj]
+    monkeypatch.setattr(cli, "derivation_to_json", lambda cfg, root: {"d": obj})
+
+
+@pytest.mark.parametrize("too_deep", [_deep_certificate, _deep_json])
+def test_prove_reports_a_certificate_too_deep_to_write(
+    too_deep, tmp_path, monkeypatch, capsys
+):
+    # A 2000-node chain fails in ``derivation_to_json``; a 2000-deep JSON
+    # value fails in the encoder, which runs before the file is opened.
+    too_deep(monkeypatch)
+    cert = tmp_path / "proof.json"
+    assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal limit:")
+    assert not cert.exists()
 
 
 def test_prove_emits_a_checkable_counter_model(tmp_path, capsys):

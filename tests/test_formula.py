@@ -1,5 +1,6 @@
 """Tests for the formula layer: constructors, negation, parsing, printing."""
 
+import time
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from stitprover import (
 from stitprover.formula import (
     FALSE,
     MAX_NESTING,
+    MAX_NODES,
     RESERVED_ATOM,
     TRUE,
     agents_of,
@@ -248,6 +250,35 @@ def test_formulas_at_the_nesting_limit_survive_recursive_functions(text):
 def test_parse_rejects_input_nested_past_the_limit(text):
     with pytest.raises(ParseError, match=f"{N}"):
         parse(text)
+
+
+def _iff_chain(links: int) -> str:
+    return "p" + " <-> p" * links
+
+
+def _iff_chain_nodes(links: int) -> int:
+    # iff(f, p) is And(Or(~f, p), Or(~p, f)): 3 + 2 * (|f| + 1) nodes.
+    nodes = 1
+    for _ in range(links):
+        nodes = 2 * nodes + 5
+    return nodes
+
+
+def test_the_largest_iff_chain_under_the_node_limit_parses():
+    links = 0
+    while _iff_chain_nodes(links + 1) <= MAX_NODES:
+        links += 1
+    assert len(subformulae(parse(_iff_chain(links)))) == _iff_chain_nodes(links)
+    with pytest.raises(ParseError, match=f"over {MAX_NODES} nodes"):
+        parse(_iff_chain(links + 1))
+
+
+def test_a_long_iff_chain_fails_fast():
+    # Built out, 60 links would make about 7 * 10**18 nodes.
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"over {MAX_NODES} nodes"):
+        parse(_iff_chain(60))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

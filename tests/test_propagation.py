@@ -20,8 +20,7 @@ from stitprover import (
     RelAtom,
     side_condition_holds,
 )
-from stitprover.propagation import same_component
-from stitprover.sequent import Label
+from stitprover.sequent import Label, components
 
 
 @dataclass(frozen=True)
@@ -181,11 +180,11 @@ def test_side_condition_requires_known_labels():
 
 def test_same_component_on_the_example():
     s = example_one()
-    assert set(same_component(s, 1)) == {
+    assert set(components(s, 1)) == {
         frozenset({W, U}),
         frozenset({V, Z}),
     }
-    assert set(same_component(s, 2)) == {
+    assert set(components(s, 2)) == {
         frozenset({U, V}),
         frozenset({W}),
         frozenset({Z}),
@@ -196,12 +195,12 @@ def test_same_component_without_edges_is_all_singletons():
     s = LabelledSequent(
         forms=[LabelledFormula(W, Atom("p")), LabelledFormula(U, Atom("p"))]
     )
-    assert set(same_component(s, 1)) == {frozenset({W}), frozenset({U})}
+    assert set(components(s, 1)) == {frozenset({W}), frozenset({U})}
 
 
 @given(small_sequents(), st.integers(min_value=1, max_value=2))
 def test_components_agree_with_the_side_condition(s, agent):
-    blocks = same_component(s, agent)
+    blocks = components(s, agent)
     block_of = {w: block for block in blocks for w in block}
     for w in s.labels():
         for u in s.labels():

@@ -1,4 +1,11 @@
-"""Tests for the proof search: stability, verdicts, certificates, bounds."""
+"""Tests for the proof search: stability, verdicts, certificates, bounds.
+
+The library states stability once, as "no complementary pair and no
+instruction fires".  The clause-by-clause predicates below are kept as the
+reference: saturation, realization, propagation and the choice bound, each
+written out on its own, and ``test_is_stable_matches_the_reference_*``
+check the two against each other.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +20,7 @@ from stitprover import (
     CalculusConfig,
     CounterModel,
     Dia,
+    InternalInvariantError,
     LabelledFormula,
     LabelledSequent,
     Mode,
@@ -27,18 +35,13 @@ from stitprover import (
     Valid,
     check_derivation,
     decide_by_enumeration,
+    enumerate_formulas,
     is_stable,
+    negate,
     parse,
     prove,
 )
-from stitprover.prover import (
-    is_agbox_realized,
-    is_agdia_propagated,
-    is_box_realized,
-    is_dia_propagated,
-    is_n_choice_consistent,
-    is_saturated,
-)
+from stitprover.sequent import choice_trees, tree_of
 
 P, Q = Atom("p"), Atom("q")
 NP = NegAtom("p")
@@ -71,79 +74,179 @@ def formulas(names=("p", "q")):
 
 
 # ---------------------------------------------------------------------------
-# Saturation
+# Reference: stability clause by clause
+# ---------------------------------------------------------------------------
+
+
+def is_saturated(s: LabelledSequent, w: int) -> bool:
+    """No complementary pair at ``w``; disjunctions have both disjuncts;
+    conjunctions have at least one conjunct."""
+    for f in s.forms_at(w):
+        if s.has_form(w, negate(f)):
+            return False
+        match f:
+            case Or(left, right):
+                if not (s.has_form(w, left) and s.has_form(w, right)):
+                    return False
+            case And(left, right):
+                if not (s.has_form(w, left) or s.has_form(w, right)):
+                    return False
+    return True
+
+
+def is_box_realized(s: LabelledSequent, w: int) -> bool:
+    """Every ``w:box f`` has some label carrying ``f``."""
+    labels = s.labels()
+    return all(
+        any(s.has_form(u, f.body) for u in labels)
+        for f in s.forms_at(w)
+        if isinstance(f, Box)
+    )
+
+
+def is_agbox_realized(s: LabelledSequent, w: int) -> bool:
+    """Every ``w:[1]f`` has some label in ``w``'s choice-tree carrying ``f``."""
+    members: frozenset[int] | None = None
+    for f in s.forms_at(w):
+        if isinstance(f, AgBox):
+            if members is None:
+                members = tree_of(s, w)
+            if not any(s.has_form(u, f.body) for u in members):
+                return False
+    return True
+
+
+def is_dia_propagated(s: LabelledSequent, w: int) -> bool:
+    """Every ``w:dia f`` has ``f`` at *all* labels."""
+    labels = s.labels()
+    return all(
+        all(s.has_form(u, f.body) for u in labels)
+        for f in s.forms_at(w)
+        if isinstance(f, Dia)
+    )
+
+
+def is_agdia_propagated(s: LabelledSequent, w: int) -> bool:
+    """Every ``w:<1>f`` has ``f`` at all labels of ``w``'s choice-tree."""
+    members: frozenset[int] | None = None
+    for f in s.forms_at(w):
+        if isinstance(f, AgDia):
+            if members is None:
+                members = tree_of(s, w)
+            if not all(s.has_form(u, f.body) for u in members):
+                return False
+    return True
+
+
+def is_n_choice_consistent(s: LabelledSequent, n: int) -> bool:
+    """At most ``n`` choice-trees.  Callers skip this check when n = 0."""
+    return len(choice_trees(s)) <= n
+
+
+def reference_is_stable(s: LabelledSequent, n: int) -> bool:
+    """Saturated, realized, and propagated everywhere; within the
+    choice-tree budget when ``n`` is positive."""
+    for w in s.labels():
+        if not (
+            is_saturated(s, w)
+            and is_box_realized(s, w)
+            and is_agbox_realized(s, w)
+            and is_dia_propagated(s, w)
+            and is_agdia_propagated(s, w)
+        ):
+            return False
+    return n == 0 or is_n_choice_consistent(s, n)
+
+
+# ---------------------------------------------------------------------------
+# Each clause of stability: the reference predicate and ``is_stable``
 # ---------------------------------------------------------------------------
 
 
 def test_literals_are_saturated():
     assert is_saturated(seq(forms=[lf(0, P)]), 0)
+    assert is_stable(seq(forms=[lf(0, P)]), 0)
 
 
 def test_a_clash_is_not_saturated():
     assert not is_saturated(seq(forms=[lf(0, P), lf(0, NP)]), 0)
+    assert not is_stable(seq(forms=[lf(0, P), lf(0, NP)]), 0)
 
 
 def test_complementary_compounds_are_not_saturated():
     # Saturation looks at arbitrary complementary pairs, not just literals.
     s = seq(forms=[lf(0, Dia(P)), lf(0, Box(NP))])
     assert not is_saturated(s, 0)
+    assert not is_stable(s, 0)
 
 
 def test_disjunction_needs_both_disjuncts():
     s = seq(forms=[lf(0, Or(P, Q))])
-    assert not is_saturated(s, 0)
-    assert not is_saturated(s.extended(forms=[lf(0, P)]), 0)
-    assert is_saturated(s.extended(forms=[lf(0, P), lf(0, Q)]), 0)
+    for t, saturated in [
+        (s, False),
+        (s.extended(forms=[lf(0, P)]), False),
+        (s.extended(forms=[lf(0, P), lf(0, Q)]), True),
+    ]:
+        assert is_saturated(t, 0) == saturated == is_stable(t, 0)
 
 
 def test_conjunction_needs_one_conjunct():
     s = seq(forms=[lf(0, And(P, Q))])
     assert not is_saturated(s, 0)
+    assert not is_stable(s, 0)
     assert is_saturated(s.extended(forms=[lf(0, Q)]), 0)
+    assert is_stable(s.extended(forms=[lf(0, Q)]), 0)
 
 
 def test_saturation_is_per_label():
     s = seq(forms=[lf(0, Or(P, Q)), lf(1, P)])
     assert not is_saturated(s, 0)
     assert is_saturated(s, 1)
-
-
-# ---------------------------------------------------------------------------
-# Realization and propagation predicates
-# ---------------------------------------------------------------------------
+    assert not is_stable(s, 0)
 
 
 def test_box_realization_may_use_any_label():
     s = seq(forms=[lf(0, Box(P))])
     assert not is_box_realized(s, 0)
+    assert not is_stable(s, 0)
     assert is_box_realized(s.extended(forms=[lf(1, P)]), 0)
+    assert is_stable(s.extended(forms=[lf(1, P)]), 0)
 
 
 def test_agbox_realization_is_tree_local():
     s = seq(forms=[lf(0, AgBox(1, P)), lf(1, P)])
     assert not is_agbox_realized(s, 0)  # w1 sits in a different tree
+    assert not is_stable(s, 0)
     assert is_agbox_realized(s.extended(rel=[RelAtom(1, 0, 1)]), 0)
+    assert is_stable(s.extended(rel=[RelAtom(1, 0, 1)]), 0)
 
 
 def test_dia_propagation_reaches_every_label():
     s = seq(forms=[lf(0, Dia(P)), lf(0, P)])
     assert is_dia_propagated(s, 0)
+    assert is_stable(s, 0)
     assert not is_dia_propagated(s.extended(forms=[lf(1, Q)]), 0)
+    assert not is_stable(s.extended(forms=[lf(1, Q)]), 0)
 
 
 def test_agdia_propagation_is_tree_local():
     s = seq(rel=[RelAtom(1, 0, 1)], forms=[lf(0, AgDia(1, P)), lf(0, P), lf(1, P)])
     assert is_agdia_propagated(s, 0)
+    assert is_stable(s, 0)
     # A disconnected label is outside the choice tree and puts no demand.
     assert is_agdia_propagated(s.extended(forms=[lf(5, Q)]), 0)
+    assert is_stable(s.extended(forms=[lf(5, Q)]), 0)
     # A connected one does.
     assert not is_agdia_propagated(s.extended(rel=[RelAtom(1, 1, 2)]), 0)
+    assert not is_stable(s.extended(rel=[RelAtom(1, 1, 2)]), 0)
 
 
 def test_choice_consistency_counts_trees():
     s = seq(forms=[lf(0, P), lf(1, P)])
     assert is_n_choice_consistent(s, 2)
+    assert is_stable(s, 2)
     assert not is_n_choice_consistent(s, 1)
+    assert not is_stable(s, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +268,75 @@ def test_stability_requires_choice_consistency_only_when_bounded():
 def test_unsaturated_sequents_are_not_stable():
     assert not is_stable(seq(forms=[lf(0, Or(P, Q))]), 0)
     assert not is_stable(seq(forms=[lf(0, Box(P))]), 0)
+
+
+def _stability(predicate, s: LabelledSequent, n: int) -> bool | str:
+    """The predicate's answer, or the error it raises (a non-forest at a
+    positive bound has no choice trees to count)."""
+    try:
+        return predicate(s, n)
+    except ValueError:
+        return "ValueError"
+
+
+def _conclusions(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.premises)
+
+
+def test_is_stable_matches_the_reference_on_the_search():
+    """Every conclusion and stable leaf of the search over all formulas with
+    at most two connectives, at n = 0..2, each checked at n = 0..3."""
+    sequents = set()
+    for goal in enumerate_formulas(2):
+        for n in range(3):
+            result = prove(ProverConfig(choices=n), goal)
+            if isinstance(result, Provable):
+                nodes = _conclusions(result.derivation)
+                sequents.update(node.conclusion for node in nodes)
+            else:
+                sequents.add(result.stable)
+    assert len(sequents) > 1000
+    for s in sequents:
+        for n in range(4):
+            assert is_stable(s, n) == reference_is_stable(s, n), (s.show(), n)
+
+
+@st.composite
+def sequents(draw):
+    """Up to four labels, any relational atoms among them (so not always a
+    forest), and a few labelled formulas."""
+    label = st.integers(min_value=0, max_value=3)
+    rel = draw(st.lists(st.builds(RelAtom, st.just(1), label, label), max_size=4))
+    forms = draw(st.lists(st.builds(LabelledFormula, label, formulas()), max_size=5))
+    return seq(rel=rel, forms=forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequents(), st.integers(min_value=0, max_value=3))
+def test_is_stable_matches_the_reference_on_random_sequents(s, n):
+    assert _stability(is_stable, s, n) == _stability(reference_is_stable, s, n)
+
+
+def test_a_complementary_pair_at_the_stable_leaf_is_an_internal_error(monkeypatch):
+    """The leaf asserts the one clause of stability that ``_step`` leaves
+    out.  Here ``_step`` is cut off after its first step, which puts ``p``
+    and ``~p`` at w0 without closing the branch."""
+    from stitprover import prover
+
+    real_step = prover._step
+    calls = []
+
+    def first_step_only(s, n):
+        calls.append(s)
+        return real_step(s, n) if len(calls) == 1 else None
+
+    monkeypatch.setattr(prover, "_step", first_step_only)
+    with pytest.raises(InternalInvariantError, match="complementary pair at w0"):
+        prove(ProverConfig(choices=0), parse("p | ~p"))
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +405,6 @@ def test_verdict_evidence_is_checkable(f, n):
     else:
         assert is_stable(result.stable, n)
         assert result.stable.has_form(0, f)
-
-
-def _conclusions(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.premises)
 
 
 def test_derivations_grow_monotonically_toward_the_leaves():
