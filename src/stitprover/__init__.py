@@ -56,7 +56,6 @@ from .semantics import (
     ValidUpToBound,
     check_frame,
     decide_by_enumeration,
-    enumerate_models,
     evaluate,
     extract_countermodel,
     globally_true,
@@ -83,7 +82,7 @@ __all__ = [
     "RuleTag", "SearchLimitExceeded", "Unprovable", "Valid", "ValidUpToBound",
     "check_derivation", "check_frame", "check_inference",
     "choice_trees", "decide_by_enumeration", "derivation_from_json",
-    "derivation_to_json", "enumerate_formulas", "enumerate_models", "evaluate",
+    "derivation_to_json", "enumerate_formulas", "evaluate",
     "extract_countermodel", "globally_true", "graph_of", "iff", "implies",
     "is_forestlike", "is_stable", "model_from_json", "model_to_json",
     "negate", "parse", "pretty", "prove", "random_formula",

@@ -139,9 +139,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     f = parse(args.formula, agents=args.agents)
-    outcome = decide_by_enumeration(
-        f, agents=args.agents, choices=args.choices, max_worlds=args.max_worlds
-    )
+    try:
+        outcome = decide_by_enumeration(
+            f, agents=args.agents, choices=args.choices, max_worlds=args.max_worlds
+        )
+    except ValueError as err:
+        print(f"internal limit: {err}", file=sys.stderr)
+        return 3
     if isinstance(outcome, Valid):
         print(f"valid (all models up to {outcome.bound} worlds)")
         return 0

@@ -13,15 +13,23 @@ Frame conditions:
 * C3 — with choice bound ``n > 0``, every agent has at most ``n`` cells.
 
 `decide_by_enumeration` is deliberately independent of the prover: it
-enumerates all models up to a world bound and reports the first
-counter-model in a canonical order, or validity when none exists.
+enumerates every model up to a world bound, up to bisimulation, and reports
+a counter-model with the fewest worlds, or validity when none exists.  Two
+worlds with one valuation in one cell of every agent are bisimilar, and with
+one agent so are two cells holding the same valuations (Blackburn, de Rijke
+and Venema, *Modal Logic*, 2001, ch. 2).  Dropping such a duplicate keeps
+the truth of every formula and only removes worlds and cells, so the
+verdict is that of every model within the bound.  Truth sets are ``int``
+bitmasks.  For a goal with at most one agent the default bound,
+`default_world_bound`, is proved by selection; for several agents it is a
+search limit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .formula import (
     AgBox,
@@ -262,59 +270,39 @@ EnumerationResult = Union[Valid, ValidUpToBound, CounterModel]
 
 
 def default_world_bound(f: Formula) -> int:
-    """One world per universal-modal subformula occurrence, plus one."""
-    return 1 + sum(1 for g in subformulae(f) if isinstance(g, (Box, AgBox)))
+    """Worlds enough for a counter-model of ``f``, if it has one.
 
+    Let ``h`` count the ``box`` and ``a`` the ``[i]`` occurrences of ``f``.
+    When ``f`` mentions at most one agent ``i``, the bound is
+    ``(1 + h)(1 + a)``, proved by selection.  Let ``f`` be false at ``w0``
+    of a model ``M``.  Keep ``w0``; for each false ``box g``, one world where
+    ``g`` is false (at most ``h`` of them); then, in each cell of ``i`` met
+    so far (at most ``1 + h``), one world for each ``[i] g`` false on that
+    cell (at most ``a`` per cell).  An ``[i] g`` has one truth value across
+    a cell, and this adds no new cell.  On the kept worlds, every subformula
+    false in ``M`` stays false, by induction: ``box`` and ``[i]`` keep their
+    witnesses, while ``dia``, ``<i>`` and the connectives only need the
+    falsity of their parts on the kept worlds.  Restricting the relation
+    keeps an equivalence with no more cells.  Every other agent of the frame
+    gets one cell, which keeps independence and every choice bound.
 
-def _partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def enumerate_models(
-    names: Sequence[str],
-    agents: int = 1,
-    choices: int = 0,
-    max_worlds: int = 4,
-) -> Iterator[Model]:
-    """Every model with 1..max_worlds worlds over the given atoms.
-
-    Worlds are 0..k-1; agent relations range over all set partitions (at
-    most ``choices`` blocks when the bound is positive), filtered by the
-    independence condition for several agents; valuations are exhaustive.
-    Isomorphic models are not collapsed — correctness over speed.
+    When ``f`` mentions several agents, the bound is ``1 + h + a``: a search
+    limit with no completeness proof.  Individual multi-agent choice logic
+    is NEXPTIME-complete (Balbiani, Herzig and Troquard, *J. Philos. Logic*
+    37, 2008), so no polynomial bound can be complete for it.
     """
-    for count in range(1, max_worlds + 1):
-        worlds = tuple(range(count))
-        parts = [
-            [frozenset(block) for block in part]
-            for part in _partitions(worlds)
-            if choices == 0 or len(part) <= choices
-        ]
-        for combo in itertools.product(parts, repeat=agents):
-            if agents > 1 and not _independent(combo, worlds):
-                continue
-            rel = {
-                agent: frozenset(
-                    (u, v)
-                    for block in combo[agent - 1]
-                    for u in block
-                    for v in block
-                )
-                for agent in range(1, agents + 1)
-            }
-            for masks in itertools.product(range(2 ** count), repeat=len(names)):
-                val = {
-                    name: frozenset(w for w in worlds if mask >> w & 1)
-                    for name, mask in zip(names, masks)
-                }
-                yield Model(worlds=worlds, rel=rel, val=val)
+    h = a = 0
+    agents = set()
+    for g in subformulae(f):
+        if isinstance(g, Box):
+            h += 1
+        elif isinstance(g, (AgBox, AgDia)):
+            agents.add(g.agent)
+            if isinstance(g, AgBox):
+                a += 1
+    if len(agents) > 1:
+        return 1 + h + a
+    return (1 + h) * (1 + a)
 
 
 def decide_by_enumeration(
@@ -323,8 +311,9 @@ def decide_by_enumeration(
     choices: int = 0,
     max_worlds: int | None = None,
 ) -> EnumerationResult:
-    """Search every model with at most ``max_worlds`` worlds for a world
-    falsifying ``f``; report the first one found in canonical order.
+    """Search the models with at most ``max_worlds`` worlds, up to
+    bisimulation, for a world falsifying ``f``; report one with the fewest
+    worlds.
 
     The default bound is `default_world_bound`.  Passing a smaller bound
     makes a "valid" outcome incomplete, which is reported as
@@ -334,60 +323,264 @@ def decide_by_enumeration(
     bound = default if max_worlds is None else max_worlds
     if bound < 1:
         raise ValueError("max_worlds must be at least 1")
-    names = sorted(atoms(f))
-
+    program, names = _compile(f)
+    if any(kind >= _BOX and rel > agents for kind, rel, _ in program):
+        raise ValueError(f"the goal mentions an agent beyond {agents}")
+    if len(names) > MAX_ATOMS:
+        raise ValueError(
+            f"the goal has {len(names)} atoms; the oracle takes at most {MAX_ATOMS}"
+        )
+    types = 1 << len(names)
+    patterns = [  # the types that make atom i true, as a lane
+        _repeat(((1 << (1 << i)) - 1) << (1 << i), 2 << i, types >> (i + 1))
+        for i in range(len(names))
+    ]
     for count in range(1, bound + 1):
-        worlds = tuple(range(count))
-        world_set = frozenset(worlds)
-        parts = [
-            [frozenset(block) for block in part]
-            for part in _partitions(worlds)
-            if choices == 0 or len(part) <= choices
-        ]
-        for combo in itertools.product(parts, repeat=agents):
-            if agents > 1 and not _independent(combo, worlds):
-                continue
-            cells = {
-                agent: {w: block for block in combo[agent - 1] for w in block}
-                for agent in range(1, agents + 1)
-            }
-            for masks in itertools.product(range(2 ** count), repeat=len(names)):
-                val = {
-                    name: frozenset(w for w in worlds if mask >> w & 1)
-                    for name, mask in zip(names, masks)
-                }
-                truth = _truth_sets(f, world_set, cells, val)
-                falsified = world_set - truth[f]
-                if falsified:
-                    world = min(falsified)
-                    rel = {
-                        agent: frozenset(
-                            (u, v)
-                            for block in combo[agent - 1]
-                            for u in block
-                            for v in block
-                        )
-                        for agent in range(1, agents + 1)
-                    }
-                    return CounterModel(
-                        model=Model(worlds=worlds, rel=rel, val=val), world=world
-                    )
+        for full, meets in _reduced_models(agents, choices, count, types):
+            lanes = _starts(full, types + 1)
+            atom_masks = [full & pattern * lanes for pattern in patterns]
+            falsified = full ^ _truth(program, atom_masks, full, meets)
+            if falsified:
+                return _counter_model(names, atom_masks, meets, agents, falsified)
     if max_worlds is not None and max_worlds < default:
         return ValidUpToBound(bound=bound, default_bound=default)
     return Valid(bound=bound)
 
 
-def _independent(
-    combo: tuple[list[frozenset[int]], ...], worlds: tuple[int, ...]
-) -> bool:
-    lookup = [
-        {w: block for block in part for w in block} for part in combo
-    ]
-    for picks in itertools.product(worlds, repeat=len(combo)):
-        cells = [lookup[i][picks[i]] for i in range(len(combo))]
-        if not frozenset.intersection(*cells):
-            return False
-    return True
+# Models up to bisimulation.  A world is a valuation *type*: type ``t`` makes
+# the ``i``-th atom of `_compile` true iff bit ``i`` of ``t`` is set.  The
+# agents' cells cut the worlds into *blocks*, one per way of picking a cell
+# for every agent, and a block is an ``int`` mask of the types it holds, one
+# world per type: two worlds of one type in one block are bisimilar, so one
+# of them is enough.  Independence (C2) says that no block is empty.  With
+# one agent the blocks are the cells, and two cells with the same types are
+# bisimilar too, so the cells are distinct and come in one canonical order:
+# by size down, then by mask up.
+#
+# A set of worlds is an ``int`` with one *lane* of ``types + 1`` bits per
+# block: bit ``t`` of a lane is the world of type ``t`` in that block, and
+# the top bit stays clear, as a guard.  One-agent models with ``count``
+# worlds are evaluated together, up to `_BATCH_BITS` bits at a time, in one
+# *segment* of ``count`` lanes each, whose top bit is its last lane's guard.
+# ``meets(rel, mask)`` is the union of the classes of ``rel`` that meet
+# ``mask``: relation 0 relates the worlds of one model (``box``), relation
+# ``i`` those in one cell of agent ``i``.  With one agent, adding all ones
+# below the guard of every lane (segment) sets the guards of exactly the
+# lanes (segments) that meet ``mask``, and a product spreads each guard back
+# over its lane (segment); with several, `_cell_meets` walks the cells.  A
+# lane has ``2 ** atoms`` bits, hence `MAX_ATOMS`.
+
+MAX_ATOMS = 16
+_ATOM, _NEG, _AND, _OR, _BOX, _DIA = range(6)
+_KINDS = {
+    Atom: _ATOM, NegAtom: _NEG, And: _AND, Or: _OR,
+    Box: _BOX, Dia: _DIA, AgBox: _BOX, AgDia: _DIA,
+}
+_BATCH_BITS = 1 << 14
+
+Meets = Callable[[int, int], int]
+
+
+def _compile(f: Formula) -> tuple[list[tuple[int, int, int]], list[str]]:
+    """The distinct subformulas of ``f`` in post-order, ``f`` last, as
+    ``(kind, x, y)``, and the atoms in the order met.  ``x`` is an atom's
+    index, a child's position or a modality's relation, and ``y`` the body
+    of a modality.  Equal subformulas get one position, since their tuples
+    are equal."""
+    names: dict[str, int] = {}
+    position: dict[tuple[int, int, int], int] = {}
+
+    def go(g: Formula) -> int:
+        kind = _KINDS.get(type(g))
+        if kind is None:
+            raise TypeError(f"not a formula: {g!r}")
+        if kind <= _NEG:
+            op = (kind, names.setdefault(g.name, len(names)), 0)
+        elif kind <= _OR:
+            op = (kind, go(g.left), go(g.right))
+        else:  # relation 0 is that of box and dia
+            op = (kind, getattr(g, "agent", 0), go(g.body))
+        return position.setdefault(op, len(position))
+
+    go(f)
+    return list(position), list(names)
+
+
+def _truth(
+    program: list[tuple[int, int, int]], atom_masks: list[int], full: int, meets: Meets
+) -> int:
+    """The worlds of ``full`` at which the last formula of ``program`` holds."""
+    truth: list[int] = []
+    for kind, x, y in program:
+        if kind == _OR:
+            value = truth[x] | truth[y]
+        elif kind == _AND:
+            value = truth[x] & truth[y]
+        elif kind == _ATOM:
+            value = atom_masks[x]
+        elif kind == _NEG:
+            value = full ^ atom_masks[x]
+        elif kind == _BOX:
+            value = full ^ meets(x, full ^ truth[y])
+        else:
+            value = meets(x, truth[y])
+        truth.append(value)
+    return truth[-1]
+
+
+def _reduced_models(
+    agents: int, choices: int, count: int, types: int
+) -> Iterator[tuple[int, Meets]]:
+    """Every model with ``count`` worlds up to bisimulation, in batches of
+    their worlds and their ``meets``."""
+    most = choices if choices > 0 else count
+    limit = 1 << types
+    if agents == 1:
+        width = count * (types + 1)
+        capacity = max(1, _BATCH_BITS // width)
+        batch, size = 0, 0
+        for full in _cell_sets(limit, count, most, count, 0, 0):
+            batch |= full << (size * width)
+            size += 1
+            if size == capacity:
+                yield batch, _lane_meets(batch, types, width)
+                batch, size = 0, 0
+        if size:
+            yield batch, _lane_meets(batch, types, width)
+        return
+    for shape in itertools.product(range(1, most + 1), repeat=agents):
+        picks = list(itertools.product(*map(range, shape)))
+        if len(picks) > count:
+            continue
+        for blocks in _blocks(limit, count, len(picks)):
+            cells = [[0] * size for size in shape]
+            full = 0
+            for j, (block, pick) in enumerate(zip(blocks, picks)):
+                worlds = block << (j * (types + 1))
+                full |= worlds
+                for agent, cell in enumerate(pick):
+                    cells[agent][cell] |= worlds
+            yield full, _cell_meets(full, cells)
+
+
+def _lane_meets(full: int, types: int, width: int) -> Meets:
+    """``meets`` for one-agent models in segments of ``width`` bits, whose
+    cells are their lanes."""
+    lane, segment = (1 << types) - 1, (1 << (width - 1)) - 1
+    lanes, segments = _starts(full, types + 1), _starts(full, width)
+    lane_ones, lane_guards = lane * lanes, lanes << types
+    segment_ones, segment_guards = segment * segments, segments << (width - 1)
+
+    def meets(rel: int, mask: int) -> int:
+        if rel:
+            return (((mask + lane_ones) & lane_guards) >> types) * lane & full
+        guards = (mask + segment_ones) & segment_guards
+        return (guards >> (width - 1)) * segment & full
+
+    return meets
+
+
+def _cell_meets(full: int, cells: list[list[int]]) -> Meets:
+    """``meets`` for one model whose agents have the given cells."""
+
+    def meets(rel: int, mask: int) -> int:
+        if rel:
+            return sum(cell for cell in cells[rel - 1] if cell & mask)
+        return full if mask else 0
+
+    return meets
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """``count`` copies of ``pattern``, one every ``width`` bits."""
+    return pattern * (((1 << (width * count)) - 1) // ((1 << width) - 1))
+
+
+def _starts(full: int, width: int) -> int:
+    """A one at the start of every ``width`` bits, up to the top of ``full``."""
+    return _repeat(1, width, full.bit_length() // width + 1)
+
+
+def _cell_sets(
+    limit: int, worlds: int, most: int, largest: int, after: int, packed: int
+) -> Iterator[int]:
+    """The lanes ``packed`` followed by at most ``most`` distinct non-empty
+    cells below ``limit``, one lane each, with ``worlds`` types in all, in
+    the canonical order after a cell of ``largest`` types and mask
+    ``after``."""
+    for size in range(min(worlds, largest), 0, -1):
+        if size * most < worlds:
+            return
+        cell = _next_mask(after) if size == largest and after else (1 << size) - 1
+        while cell < limit:
+            lanes = packed << limit.bit_length() | cell
+            if size == worlds:
+                yield lanes
+            else:
+                yield from _cell_sets(limit, worlds - size, most - 1, size, cell, lanes)
+            cell = _next_mask(cell)
+
+
+def _blocks(limit: int, worlds: int, count: int) -> Iterator[tuple[int, ...]]:
+    """Every ``count`` non-empty masks below ``limit`` with ``worlds`` bits
+    in all."""
+    if count == 0:
+        if worlds == 0:
+            yield ()
+        return
+    for size in range(1, worlds - count + 2):
+        mask = (1 << size) - 1
+        while mask < limit:
+            for rest in _blocks(limit, worlds - size, count - 1):
+                yield (mask,) + rest
+            mask = _next_mask(mask)
+
+
+def _next_mask(mask: int) -> int:
+    """The next larger ``int`` with as many bits set (Gosper's hack)."""
+    low = mask & -mask
+    ripple = mask + low
+    return (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def _counter_model(
+    names: Sequence[str],
+    atom_masks: list[int],
+    meets: Meets,
+    agents: int,
+    falsified: int,
+) -> CounterModel:
+    """The model of the first world in ``falsified``, its worlds numbered
+    from 0 upwards."""
+    first = falsified & -falsified
+    bits = _bits(meets(0, first))
+    number = {bit: world for world, bit in enumerate(bits)}
+    model = Model(
+        worlds=tuple(range(len(bits))),
+        rel={
+            agent: frozenset(
+                (number[bit], number[other])
+                for bit in bits
+                for other in _bits(meets(agent, 1 << bit))
+            )
+            for agent in range(1, agents + 1)
+        },
+        val={
+            name: frozenset(number[bit] for bit in _bits(mask) if bit in number)
+            for name, mask in zip(names, atom_masks)
+        },
+    )
+    return CounterModel(model=model, world=number[first.bit_length() - 1])
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,7 @@ class SweepReport:
     model_failures: list = field(default_factory=list)
     violation_runs: list = field(default_factory=list)
     derivation_sample: list = field(default_factory=list)
+    valid_runs: list = field(default_factory=list)
     digest: str = ""
     elapsed: float = 0.0
 
@@ -205,6 +206,8 @@ def sweep():
         if run.result.stats.bound_violations:
             violations = tuple(run.result.stats.bound_violations)
             report.violation_runs.append((pretty(run.goal), run.choices, violations))
+        if isinstance(run.verdict, Valid):
+            report.valid_runs.append((run.goal, run.choices, run.verdict.bound))
         if provable:
             report.provable_runs += 1
             if run.evidence_error is None and report.provable_runs % 50 == 1:
@@ -238,6 +241,20 @@ def test_criterion_3_differential_agreement(sweep):
     assert sweep.runs == 75960
     assert sweep.disagreements == []
     assert sweep.elapsed < 600.0
+
+
+def test_one_more_world_changes_no_valid_verdict(sweep):
+    """A test of `default_world_bound` that can fail: every goal the oracle
+    calls valid is still valid with one world more than the bound."""
+    assert len(sweep.valid_runs) == 10126
+    changed = [
+        f"n={n}: {pretty(goal)}"
+        for goal, n, bound in sweep.valid_runs
+        if not isinstance(
+            decide_by_enumeration(goal, choices=n, max_worlds=bound + 1), Valid
+        )
+    ]
+    assert changed == []
 
 
 def test_sweep_behaviour_is_unchanged(sweep):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from raw_models import enumerate_models
 
 from stitprover import (
     AgBox,
@@ -27,7 +28,6 @@ from stitprover import (
     check_inference,
     derivation_from_json,
     derivation_to_json,
-    enumerate_models,
     evaluate,
     parse,
     prove,

@@ -185,6 +185,12 @@ def test_oracle_handles_two_agents(capsys):
     assert "up to" in capsys.readouterr().out
 
 
+def test_oracle_refuses_more_atoms_than_it_takes(capsys):
+    goal = " | ".join(f"p{i}" for i in range(17))
+    assert main(["oracle", goal]) == 3
+    assert "at most 16" in capsys.readouterr().err
+
+
 def test_oracle_respects_the_choice_bound(capsys):
     assert main(["oracle", "dia [1] p -> p"]) == 1
     capsys.readouterr()

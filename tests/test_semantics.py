@@ -1,6 +1,9 @@
 """Tests for models: frame checking, evaluation, extraction, enumeration."""
 
+import itertools
+
 import pytest
+from raw_models import enumerate_models
 
 from stitprover import (
     Atom,
@@ -19,15 +22,22 @@ from stitprover import (
     ValidUpToBound,
     check_frame,
     decide_by_enumeration,
-    enumerate_models,
+    enumerate_formulas,
     evaluate,
     extract_countermodel,
     model_from_json,
     model_to_json,
     parse,
+    pretty,
     prove,
 )
-from stitprover.semantics import default_world_bound, globally_true
+from stitprover.formula import atoms
+from stitprover.semantics import (
+    _bits,
+    _reduced_models,
+    default_world_bound,
+    globally_true,
+)
 
 P = Atom("p")
 
@@ -216,8 +226,46 @@ def test_choice_bounds_change_verdicts():
 
 def test_default_world_bound_counts_universal_occurrences():
     assert default_world_bound(P) == 1
-    assert default_world_bound(parse("box p & [1] q")) == 3
+    assert default_world_bound(parse("box p & [1] q")) == 4
     assert default_world_bound(parse("dia p")) == 1
+    # Several agents: a search limit of one world per box and [i], plus one.
+    two = parse("dia [1] p & dia [2] q -> dia ([1] p & [2] q)", agents=2)
+    assert default_world_bound(two) == 5
+
+
+# The old world bound, one world per box and [1] occurrence plus one, is 7
+# for this goal, yet its smallest counter-model has 8 worlds.
+EIGHT_WORLDS = (
+    "dia ([1] ~p | [1] p) | box <1> (~q | ~r) | box <1> (~q | r)"
+    " | box <1> (q | ~r) | box <1> (q | r)"
+)
+
+
+def test_the_world_bound_reaches_an_eight_world_counter_model():
+    goal = parse(EIGHT_WORLDS)
+    model = Model(
+        worlds=tuple(range(8)),
+        rel={1: cells_to_rel({0, 1}, {2, 3}, {4, 5}, {6, 7})},
+        val={
+            "p": frozenset({1, 3, 5, 7}),
+            "q": frozenset({2, 3, 6, 7}),
+            "r": frozenset({4, 5, 6, 7}),
+        },
+    )
+    assert check_frame(model, agents=1, choices=0).ok
+    assert not evaluate(model, 0, goal)
+    assert default_world_bound(goal) >= 8
+    result = decide_by_enumeration(goal)
+    assert isinstance(result, CounterModel)
+    assert len(result.model.worlds) == 8
+    assert check_frame(result.model, agents=1, choices=0).ok
+    assert not evaluate(result.model, result.world, goal)
+    # The search refutes it too, with a model read off its stable sequent.
+    searched = prove(ProverConfig(choices=0), goal)
+    assert isinstance(searched, Unprovable)
+    extracted, interp = extract_countermodel(searched.stable, 0, 0)
+    assert check_frame(extracted, agents=1, choices=0).ok
+    assert not evaluate(extracted, interp[0], goal)
 
 
 def test_truncated_search_is_reported_as_incomplete():
@@ -231,6 +279,127 @@ def test_truncated_search_is_reported_as_incomplete():
 def test_world_bound_must_be_positive():
     with pytest.raises(ValueError):
         decide_by_enumeration(P, max_worlds=0)
+
+
+def test_the_oracle_refuses_goals_beyond_its_frame_or_atom_limit():
+    with pytest.raises(ValueError, match="agent beyond 1"):
+        decide_by_enumeration(parse("[2] p", agents=2), agents=1)
+    many = parse(" | ".join(f"p{i}" for i in range(17)))
+    with pytest.raises(ValueError, match="at most 16"):
+        decide_by_enumeration(many)
+    sixteen = parse(" | ".join(f"p{i}" for i in range(16)))
+    assert isinstance(decide_by_enumeration(sixteen), CounterModel)
+
+
+def smallest_raw_counter_model(goal, agents, choices, max_worlds):
+    """The fewest worlds of a raw model falsifying ``goal``, or ``None``."""
+    names = sorted(atoms(goal))
+    for model in enumerate_models(names, agents, choices, max_worlds):
+        if not globally_true(model, goal):
+            return len(model.worlds)
+    return None
+
+
+TWO_AGENT_GOALS = (
+    "dia [1] p & dia [2] q -> dia ([1] p & [2] q)",
+    "<1> p",
+    "<2> p",
+    "[1] p -> [2] p",
+    "dia [1] p -> dia [2] p",
+)
+
+
+def test_the_oracle_matches_raw_enumeration_on_small_models():
+    """Up to bisimulation or raw, the same verdict at every world bound,
+    and counter-models with the same, smallest number of worlds."""
+    cases = [(goal, 1) for goal in enumerate_formulas(2)]
+    cases += [(parse(text, agents=2), 2) for text in TWO_AGENT_GOALS]
+    for goal, agents in cases:
+        for n in (0, 1, 2):
+            smallest = smallest_raw_counter_model(goal, agents, n, 3)
+            default = default_world_bound(goal)
+            for max_worlds in (1, 2, 3):
+                result = decide_by_enumeration(goal, agents, n, max_worlds)
+                where = (pretty(goal), agents, n, max_worlds)
+                if smallest is not None and smallest <= max_worlds:
+                    assert isinstance(result, CounterModel), where
+                    assert len(result.model.worlds) == smallest, where
+                    assert check_frame(result.model, agents, n).ok, where
+                    assert not evaluate(result.model, result.world, goal), where
+                elif max_worlds < default:
+                    assert result == ValidUpToBound(max_worlds, default), where
+                else:
+                    assert result == Valid(max_worlds), where
+
+
+def bisimulation_class(worlds, type_of, cell_of, agents):
+    """With one agent, a model's set of cells, each as its set of types;
+    with two, its grid of blocks (agent-1 cell by agent-2 cell), each as its
+    set of types, up to reordering rows and columns."""
+    if agents == 1:
+        return frozenset(
+            frozenset(type_of(v) for v in cell_of(1, w)) for w in worlds
+        )
+    rows = list({cell_of(1, w) for w in worlds})
+    cols = list({cell_of(2, w) for w in worlds})
+    return min(
+        tuple(
+            tuple(tuple(sorted({type_of(v) for v in rows[r] & cols[c]})) for c in cs)
+            for r in rs
+        )
+        for rs in itertools.permutations(range(len(rows)))
+        for cs in itertools.permutations(range(len(cols)))
+    )
+
+
+def raw_class(model, names, agents):
+    def type_of(w):
+        return sum(1 << i for i, name in enumerate(names) if w in model.val[name])
+
+    def cell_of(agent, w):
+        return frozenset(v for u, v in model.rel[agent] if u == w)
+
+    return bisimulation_class(model.worlds, type_of, cell_of, agents)
+
+
+def listed_classes(agents, choices, count, types):
+    """The class of every model the oracle walks with ``count`` worlds."""
+    for full, meets in _reduced_models(agents, choices, count, types):
+        while full:
+            first = full & -full
+            worlds = _bits(meets(0, first))
+            assert len(worlds) == count
+            yield bisimulation_class(
+                worlds,
+                lambda w: w % (types + 1),
+                lambda agent, w: frozenset(_bits(meets(agent, 1 << w))),
+                agents,
+            )
+            full ^= meets(0, first)
+
+
+@pytest.mark.parametrize(
+    "agents, choices, max_worlds",
+    [(1, 0, 5), (1, 1, 4), (1, 2, 5), (2, 0, 4), (2, 1, 3), (2, 2, 4)],
+)
+def test_the_oracle_walks_every_raw_model_up_to_bisimulation(
+    agents, choices, max_worlds
+):
+    """Every raw model reduces to a walked one with no more worlds, every
+    walked model is a raw one, and with one agent none is walked twice."""
+    names = ("p", "q")
+    raw = {
+        raw_class(model, names, agents)
+        for model in enumerate_models(names, agents, choices, max_worlds)
+    }
+    listed = [
+        found
+        for count in range(1, max_worlds + 1)
+        for found in listed_classes(agents, choices, count, 1 << len(names))
+    ]
+    assert set(listed) == raw
+    if agents == 1:
+        assert len(listed) == len(raw)
 
 
 def test_two_agent_independence_axiom_is_valid():
