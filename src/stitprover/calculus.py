@@ -126,7 +126,12 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        """The number of inferences in the tree, counted without recursion."""
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().premises)
+        return count
 
 
 @dataclass(frozen=True)

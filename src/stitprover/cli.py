@@ -16,8 +16,9 @@ Exit status: 0 provable/valid certificate/valid formula/full agreement;
 1 unprovable, invalid certificate, counter-model found, disagreement, or
 rejected evidence;
 2 usage or input error (a certificate nested too deeply to read included);
-3 internal invariant failure, search cap, or recursion limit (a
-certificate nested too deeply to write included).
+3 internal invariant failure, search cap, or a certificate nested too
+deeply to write (the one Python recursion limit left: the search itself
+keeps its own stack, so nested case splits cannot reach it).
 """
 
 from __future__ import annotations

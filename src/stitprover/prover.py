@@ -33,9 +33,17 @@ closed.  The search asserts only that clause at the stable leaf it returns.
 Each of instructions 3-8 is blocked once it has done its work (the
 disjunct, conjunct or body is present, the box is realized, the trees are
 few enough), so it fires at most once per trigger, which gives termination.
-Successful branches are folded into a refined-mode derivation via the
-step-to-rule correspondence; failed branches surface the stable sequent
-itself.
+
+The search owns one stack, with one frame per open inference: the step's
+conclusion, rule, principal and premises, the derivations of the premises
+closed so far, and the choice-rule edges on the branch.  A step with
+premises pushes its frame and searches its first premise.  When ``id``
+closes a branch, the frames it finishes pop off as refined-mode
+derivations, via the step-to-rule correspondence, down to the first frame
+with a premise still open, which is searched next; an empty stack is a
+proof.  A stable leaf ends the whole search, wherever it sits.  So the
+search never recurses, and the depth of nested case splits is limited by
+time and memory only.
 
 Size bounds.  Let ``h`` be the number of ``box`` occurrences in the goal and
 ``a`` the number of ``[1]`` occurrences.  Every sequent the search builds has
@@ -72,7 +80,6 @@ split) are hard assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .calculus import Derivation, RuleTag
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
@@ -166,6 +173,11 @@ def is_stable(s: LabelledSequent, n: int) -> bool:
 
 _AGENT = 1  # the search handles exactly one agent
 
+# An open inference; the module docstring lists its fields.
+_Frame = tuple[
+    LabelledSequent, RuleTag, dict, tuple[LabelledSequent, ...], list[Derivation], int
+]
+
 
 def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
     """Decide the goal, returning a checkable derivation or a stable sequent.
@@ -186,13 +198,53 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
         label_bound=(1 + boxes) * (1 + agboxes),
         rel_bound_base=agboxes * (1 + boxes),
     )
-    root = LabelledSequent(forms=[LabelledFormula(0, goal)])
-    searcher = _Searcher(cfg, stats)
-    searcher.note(root, apc_edges=0)
-    outcome = searcher.search(root, apc_edges=0)
-    if isinstance(outcome, LabelledSequent):
-        return Unprovable(outcome, stats)
-    return Provable(outcome, stats)
+    stack: list[_Frame] = []
+    current = LabelledSequent(forms=[LabelledFormula(0, goal)])
+    edges = 0
+    while True:
+        _note(cfg, stats, current, edges)
+        step = _step(current, cfg.choices)
+        if step is None:
+            # 2. nothing fires, so the sequent is stable — refutation found
+            pair = _complementary_pair(current)
+            if pair is not None:
+                raise InternalInvariantError(
+                    f"complementary pair at w{pair.label} of the sequent "
+                    f"no instruction applies to: {current.show()}"
+                )
+            return Unprovable(current, stats)
+
+        rule, principal, premises = step
+        if rule is RuleTag.APC:
+            trees = len(components(current))
+            for premise in premises:
+                if len(components(premise)) != trees - 1:
+                    raise InternalInvariantError(
+                        "joining two roots must reduce the choice-tree "
+                        f"count by one: {premise.show()}"
+                    )
+            edges += 1
+        stats.steps += 1
+        if cfg.max_steps is not None and stats.steps > cfg.max_steps:
+            raise SearchLimitExceeded(f"step cap {cfg.max_steps} exceeded")
+        if premises:
+            stack.append((current, rule, principal, premises, [], edges))
+            current = premises[0]
+            continue
+
+        # 1. the branch closes: pop every inference it finishes, then
+        # search the first premise still open
+        closed = Derivation(current, rule, principal)
+        while stack:
+            conclusion, rule, principal, premises, done, edges = stack[-1]
+            done.append(closed)
+            if len(done) < len(premises):
+                current = premises[len(done)]
+                break
+            stack.pop()
+            closed = Derivation(conclusion, rule, principal, tuple(done))
+        else:
+            return Provable(closed, stats)
 
 
 def _step(
@@ -276,110 +328,26 @@ def _step(
     return None
 
 
-class _Searcher:
-    """One proof-search run: configuration, statistics, bound monitoring."""
+def _note(
+    cfg: ProverConfig, stats: SearchStats, s: LabelledSequent, apc_edges: int
+) -> None:
+    """Record sizes, monitor the proved bounds, hard-check shape."""
+    labels = len(s.labels())
+    stats.max_labels = max(stats.max_labels, labels)
+    if not is_forestlike(s):
+        raise InternalInvariantError(f"sequent is not forestlike: {s.show()}")
+    if labels > stats.label_bound:
+        _record(stats, f"label bound exceeded: {labels} labels > {stats.label_bound}")
+    rel_bound = stats.rel_bound_base + apc_edges
+    if len(s.rel) > rel_bound:
+        _record(stats, f"relational bound exceeded: {len(s.rel)} atoms > {rel_bound}")
+    if cfg.max_labels is not None and labels > cfg.max_labels:
+        raise SearchLimitExceeded(
+            f"label cap {cfg.max_labels} exceeded ({labels} labels)"
+        )
 
-    def __init__(self, cfg: ProverConfig, stats: SearchStats) -> None:
-        self.cfg = cfg
-        self.stats = stats
-        self._seen_violations: set[str] = set()
 
-    # -- bookkeeping --------------------------------------------------------
-
-    def note(self, s: LabelledSequent, apc_edges: int) -> None:
-        """Record sizes, monitor the theoretical bounds, hard-check shape."""
-        stats = self.stats
-        labels = s.labels()
-        stats.max_labels = max(stats.max_labels, len(labels))
-        if not is_forestlike(s):
-            raise InternalInvariantError(f"sequent is not forestlike: {s.show()}")
-        if len(labels) > stats.label_bound:
-            self._record(
-                f"label bound exceeded: {len(labels)} labels > {stats.label_bound}"
-            )
-        rel_bound = stats.rel_bound_base + apc_edges
-        if len(s.rel) > rel_bound:
-            self._record(
-                f"relational bound exceeded: {len(s.rel)} atoms > {rel_bound}"
-            )
-        if self.cfg.max_labels is not None and len(labels) > self.cfg.max_labels:
-            raise SearchLimitExceeded(
-                f"label cap {self.cfg.max_labels} exceeded ({len(labels)} labels)"
-            )
-
-    def _record(self, message: str) -> None:
-        if message not in self._seen_violations:
-            self._seen_violations.add(message)
-            self.stats.bound_violations.append(message)
-
-    def _tick(self) -> None:
-        self.stats.steps += 1
-        if self.cfg.max_steps is not None and self.stats.steps > self.cfg.max_steps:
-            raise SearchLimitExceeded(f"step cap {self.cfg.max_steps} exceeded")
-
-    # -- the instruction loop ----------------------------------------------
-
-    def search(
-        self, s: LabelledSequent, apc_edges: int
-    ) -> Derivation | LabelledSequent:
-        """Run the priority loop; recurse at case splits.
-
-        Returns a derivation when every branch closes, otherwise the stable
-        sequent found on the first failing branch.
-        """
-        trail: list[tuple[LabelledSequent, RuleTag, dict]] = []
-        current = s
-
-        def fold(top: Derivation) -> Derivation:
-            for concl, rule, principal in reversed(trail):
-                top = Derivation(concl, rule, principal, (top,))
-            return top
-
-        def split(
-            rule: RuleTag,
-            principal: dict,
-            premises: Sequence[LabelledSequent],
-            edges: int,
-        ) -> Derivation | LabelledSequent:
-            self._tick()
-            subderivs = []
-            for premise in premises:
-                self.note(premise, edges)
-                outcome = self.search(premise, edges)
-                if isinstance(outcome, LabelledSequent):
-                    return outcome
-                subderivs.append(outcome)
-            return fold(Derivation(current, rule, principal, tuple(subderivs)))
-
-        n = self.cfg.choices
-        while True:
-            step = _step(current, n)
-            if step is None:
-                # 2. nothing fires, so the sequent is stable — refutation found
-                pair = _complementary_pair(current)
-                if pair is not None:
-                    raise InternalInvariantError(
-                        f"complementary pair at w{pair.label} of the sequent "
-                        f"no instruction applies to: {current.show()}"
-                    )
-                return current
-
-            rule, principal, premises = step
-            if rule is RuleTag.ID:
-                self._tick()
-                return fold(Derivation(current, rule, principal))
-            if rule is RuleTag.AND:
-                return split(rule, principal, premises, apc_edges)
-            if rule is RuleTag.APC:
-                trees = len(components(current))
-                for premise in premises:
-                    if len(components(premise)) != trees - 1:
-                        raise InternalInvariantError(
-                            "joining two roots must reduce the choice-tree "
-                            f"count by one: {premise.show()}"
-                        )
-                return split(rule, principal, premises, apc_edges + 1)
-            self._tick()
-            trail.append((current, rule, principal))
-            (current,) = premises
-            self.note(current, apc_edges)
+def _record(stats: SearchStats, message: str) -> None:
+    """Append one bound excess, once: the list is its own set of seen ones."""
+    if message not in stats.bound_violations:
+        stats.bound_violations.append(message)

@@ -7,14 +7,19 @@ procedure and the enumeration oracle.  The sweep folds the records of
 ``stitprover.differential.runs``, which checks every certificate and
 counter-model, and records every monitored size-bound excess.  It also
 folds every run's verdict, statistics and evidence into one SHA-256, so a
-refactor that changes any certificate or stable sequent shows up.
+refactor that changes any certificate or stable sequent shows up.  A second
+digest does the same for the benchmark's ``ladder`` goals, whose choice-rule
+splits are wider than any in the sweep.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
@@ -161,12 +166,11 @@ def _where(run, message: str) -> str:
     return f"n={run.choices}: {pretty(run.goal)}: {message}"
 
 
-def _behaviour(run) -> bytes:
+def _behaviour(result, choices: int) -> bytes:
     """One sorted-key JSON line: verdict, steps, peak labels, bound
     excesses, and the certificate or stable sequent."""
-    result = run.result
     if isinstance(result, Provable):
-        cfg = CalculusConfig(agents=1, choices=run.choices, mode=Mode.REFINED)
+        cfg = CalculusConfig(agents=1, choices=choices, mode=Mode.REFINED)
         evidence = derivation_to_json(cfg, result.derivation)
     else:
         evidence = sequent_to_json(result.stable)
@@ -194,7 +198,7 @@ def sweep():
     digest = hashlib.sha256()
     for run in runs((goal, n) for goal in goals for n in BOUNDS):
         report.runs += 1
-        digest.update(_behaviour(run))
+        digest.update(_behaviour(run.result, run.choices))
         provable = isinstance(run.result, Provable)
         if not run.agrees:
             report.disagreements.append(_where(run, run.problems[0]))
@@ -264,6 +268,33 @@ def test_sweep_behaviour_is_unchanged(sweep):
     new value here."""
     assert sweep.digest == (
         "44afa80465e1f862750a4f9f986b6f0ada1906027dca9616260feb5f3c7663ab"
+    )
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by its path: it imports nothing
+    of ``stitprover``, and ``perfbench`` is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_behaviour_is_unchanged():
+    """The benchmark's ``ladder`` goals at seed 1, searched only, recorded
+    as in the sweep digest.  Its ``BC_7`` at n = 7 makes 28-way choice-rule
+    splits; the sweep stops at n = 2, so this is the pinned check of splits
+    with more than three premises."""
+    goals = _perfbench_workloads().ladder(1)
+    assert len(goals) == 637
+    digest = hashlib.sha256()
+    for goal in goals:
+        result = prove(ProverConfig(choices=goal.choices), parse(goal.text))
+        digest.update(_behaviour(result, goal.choices))
+    assert digest.hexdigest() == (
+        "c2547362c228f44bf3ccd2df20e03c41c3668f2011dccbd05b26bed4d3348c0b"
     )
 
 

@@ -585,6 +585,16 @@ def test_check_derivation_reports_the_offending_path():
     assert "premises[" in result.path
 
 
+def test_size_counts_a_chain_deeper_than_the_recursion_limit():
+    """``size`` walks the tree with its own stack, so a one-premise chain of
+    5,000 inferences counts in full."""
+    s = seq(forms=[lf(0, Or(P, NP)), lf(0, P), lf(0, NP)])
+    root = leaf(s, 0, "p")
+    for _ in range(4999):
+        root = Derivation(s, RuleTag.OR, {"label": 0, "formula": Or(P, NP)}, (root,))
+    assert root.size() == 5000
+
+
 # ---------------------------------------------------------------------------
 # Certificates produced by the search
 # ---------------------------------------------------------------------------

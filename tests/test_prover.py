@@ -7,6 +7,8 @@ written out on its own, and ``test_is_stable_matches_the_reference_*``
 check the two against each other.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,13 +36,17 @@ from stitprover import (
     Unprovable,
     Valid,
     check_derivation,
+    check_frame,
     decide_by_enumeration,
     enumerate_formulas,
+    evaluate,
+    extract_countermodel,
     is_stable,
     negate,
     parse,
     prove,
 )
+from stitprover import prover
 from stitprover.sequent import choice_trees, tree_of
 
 P, Q = Atom("p"), Atom("q")
@@ -321,22 +327,48 @@ def test_is_stable_matches_the_reference_on_random_sequents(s, n):
     assert _stability(is_stable, s, n) == _stability(reference_is_stable, s, n)
 
 
+def _first_step(monkeypatch, make_step):
+    """Replace ``_step`` by ``make_step`` on the root, and by "stable" after."""
+    calls = []
+
+    def patched(s, n):
+        calls.append(s)
+        return make_step(s) if len(calls) == 1 else None
+
+    monkeypatch.setattr(prover, "_step", patched)
+
+
 def test_a_complementary_pair_at_the_stable_leaf_is_an_internal_error(monkeypatch):
     """The leaf asserts the one clause of stability that ``_step`` leaves
     out.  Here ``_step`` is cut off after its first step, which puts ``p``
     and ``~p`` at w0 without closing the branch."""
-    from stitprover import prover
-
     real_step = prover._step
-    calls = []
-
-    def first_step_only(s, n):
-        calls.append(s)
-        return real_step(s, n) if len(calls) == 1 else None
-
-    monkeypatch.setattr(prover, "_step", first_step_only)
+    _first_step(monkeypatch, lambda s: real_step(s, 0))
     with pytest.raises(InternalInvariantError, match="complementary pair at w0"):
         prove(ProverConfig(choices=0), parse("p | ~p"))
+
+
+def test_a_choice_split_that_keeps_the_tree_count_is_an_internal_error(
+    monkeypatch,
+):
+    """The one-tree-fewer check of the choice rule comes before the step is
+    counted: with a step cap of 0 it is still the invariant that fires."""
+    _first_step(
+        monkeypatch, lambda s: (RuleTag.APC, {"agent": 1, "roots": (0, 0)}, (s,))
+    )
+    with pytest.raises(InternalInvariantError, match="joining two roots"):
+        prove(ProverConfig(choices=1, max_steps=0), P)
+
+
+def test_a_premise_that_is_not_forestlike_is_an_internal_error(monkeypatch):
+    """Every premise is checked for forest shape before it is searched; a
+    self-loop leaves the one component of w0 without a root."""
+    _first_step(
+        monkeypatch,
+        lambda s: (RuleTag.BOX, {}, (s.extended(rel=[RelAtom(1, 0, 0)]),)),
+    )
+    with pytest.raises(InternalInvariantError, match="sequent is not forestlike"):
+        prove(ProverConfig(choices=0), P)
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +493,38 @@ def test_unbounded_agreement_on_a_choice_axiom():
     goal = parse("dia [1] p -> p")
     assert isinstance(prove(ProverConfig(choices=1), goal), Provable)
     assert isinstance(decide_by_enumeration(goal, choices=1), Valid)
+
+
+# ---------------------------------------------------------------------------
+# Search depth
+# ---------------------------------------------------------------------------
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_nested_case_splits_do_not_grow_the_python_stack():
+    """A balanced disjunction of 100 ``p_i & q_i`` puts 100 case splits on
+    one branch.  The search runs with room for only 100 more Python frames,
+    so it must not take a frame per split."""
+    parts = [And(Atom(f"p{i}"), Atom(f"q{i}")) for i in range(100)]
+    while len(parts) > 1:
+        parts = [
+            Or(*parts[i : i + 2]) if i + 1 < len(parts) else parts[i]
+            for i in range(0, len(parts), 2)
+        ]
+    (goal,) = parts
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        result = prove(ProverConfig(choices=0), goal)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(result, Unprovable)
+    model, _ = extract_countermodel(result.stable, 0, 0)
+    assert check_frame(model, 1, 0).ok
+    assert not evaluate(model, 0, goal)
