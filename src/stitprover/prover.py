@@ -34,16 +34,33 @@ Each of instructions 3-8 is blocked once it has done its work (the
 disjunct, conjunct or body is present, the box is realized, the trees are
 few enough), so it fires at most once per trigger, which gives termination.
 
-The search owns one stack, with one frame per open inference: the step's
-conclusion, rule, principal and premises, the derivations of the premises
-closed so far, and the choice-rule edges on the branch.  A step with
-premises pushes its frame and searches its first premise.  When ``id``
-closes a branch, the frames it finishes pop off as refined-mode
-derivations, via the step-to-rule correspondence, down to the first frame
-with a premise still open, which is searched next; an empty stack is a
-proof.  A stable leaf ends the whole search, wherever it sits.  So the
-search never recurses, and the depth of nested case splits is limited by
-time and memory only.
+The search works on one mutable state.  It interns the goal's distinct
+subformulas once, each with an id, its kind, its operands' ids and its
+complement's id (hash-consing: Filliâtre and Conchon, "Type-Safe Modular
+Hash-Consing", 2006).  The state holds one sequent over those ids: per
+label its formulas in insertion order and as a set, per formula the number
+of labels carrying it, the choice forest as parent pointers and component
+ids, and the insertion logs of labelled formulas and relational atoms.  A
+step changes the state in place; every sequent met on the current branch
+is a prefix of the two logs, named by its *mark* (the log lengths and the
+label count), and going back to a mark truncates the logs, as a CDCL
+solver undoes its trail (Eén and Sörensson, "An Extensible SAT-solver",
+SAT 2003).  ``LabelledSequent`` values are built only for the stable leaf
+and for the nodes of a proof, from prefixes of the logs, in the order
+``LabelledSequent.extended`` would give.  ``is_stable`` loads any sequent
+into such a state and asks the same ``_step``.
+
+The search owns one stack, with one frame per open inference: the mark of
+the step's conclusion, its rule and principal, its premises as what each
+adds to the conclusion, the derivations of the premises closed so far, and
+the choice-rule edges on the branch.  A step with premises pushes its
+frame and applies its first premise.  When ``id`` closes a branch, the
+frames it finishes pop off as refined-mode derivations, via the
+step-to-rule correspondence, down to the first frame with a premise still
+open: the state goes back to that frame's mark, and the premise is applied
+and searched next; an empty stack is a proof.  A stable leaf ends the
+whole search, wherever it sits.  So the search never recurses, and the
+depth of nested case splits is limited by time and memory only.
 
 Size bounds.  Let ``h`` be the number of ``box`` occurrences in the goal and
 ``a`` the number of ``[1]`` occurrences.  Every sequent the search builds has
@@ -73,8 +90,10 @@ Both bounds are met exactly: ``box dia [1] p`` reaches 4 labels, and
 They are *monitored* rather than enforced: a search that outgrew them would
 record the event in its statistics and keep going (see
 ``SearchStats.bound_violations``).  The structural invariants that the
-search relies on (forest shape, choice-tree count dropping across a case
-split) are hard assertions.
+search relies on are hard assertions: every new relational atom must
+point at the root of another tree, so the graph stays a forest, and every
+premise of a choice-rule case split must have one tree fewer than its
+conclusion.
 """
 
 from __future__ import annotations
@@ -83,16 +102,13 @@ from dataclasses import dataclass, field
 
 from .calculus import Derivation, RuleTag
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
-from .formula import agents_of, negate, subformulae
 from .sequent import (
+    Label,
     LabelledFormula,
     LabelledSequent,
     RelAtom,
-    choice_trees,
-    components,
-    fresh_label,
-    is_forestlike,
-    tree_of,
+    graph_components,
+    graph_trees,
 )
 
 
@@ -119,17 +135,18 @@ class ProverConfig:
 class SearchStats:
     """What one ``prove`` run did, and the size bounds it was checked against.
 
-    ``steps`` counts fired instructions and ``max_labels`` is the peak label
-    count over every sequent built.  ``label_bound`` is ``(1 + h)(1 + a)``
-    for a goal with ``h`` ``box`` and ``a`` ``[1]`` occurrences, and the
-    relational bound of a sequent is ``rel_bound_base = a(1 + h)`` plus the
-    choice-rule edges on its branch; the module docstring proves both.
-    ``bound_violations`` holds one message per distinct excess, so by that
-    proof it stays empty.
+    ``steps`` counts fired instructions; ``max_labels`` and ``max_rel`` are
+    the peak label and relational-atom counts over every sequent built.
+    ``label_bound`` is ``(1 + h)(1 + a)`` for a goal with ``h`` ``box`` and
+    ``a`` ``[1]`` occurrences, and the relational bound of a sequent is
+    ``rel_bound_base = a(1 + h)`` plus the choice-rule edges on its branch;
+    the module docstring proves both.  ``bound_violations`` holds one
+    message per distinct excess, so by that proof it stays empty.
     """
 
     steps: int = 0
     max_labels: int = 0
+    max_rel: int = 0
     label_bound: int = 0
     rel_bound_base: int = 0
     bound_violations: list[str] = field(default_factory=list)
@@ -151,32 +168,248 @@ ProveResult = Provable | Unprovable
 
 
 # ---------------------------------------------------------------------------
+# The search state
+# ---------------------------------------------------------------------------
+
+_AGENT = 1  # the search handles exactly one agent
+
+# Formula kinds.  Compound kinds are numbered in the priority order of the
+# instructions acting on them; literals, read by instruction 1, come first.
+_LIT, _OR, _AND, _AGDIA, _DIA, _AGBOX, _BOX, _NONE = range(8)
+_KIND = {
+    Atom: _LIT, NegAtom: _LIT, Or: _OR, And: _AND,
+    AgDia: _AGDIA, Dia: _DIA, AgBox: _AGBOX, Box: _BOX,
+}
+_DUAL = {
+    Atom: NegAtom, NegAtom: Atom, And: Or, Or: And,
+    Box: Dia, Dia: Box, AgBox: AgDia, AgDia: AgBox,
+}
+
+# A premise as what it adds to its conclusion: relational atoms of agent 1
+# as (source, target) pairs, then formula ids at labels.  A label the state
+# does not hold yet is made where it is first named.
+_Premise = tuple[tuple[tuple[Label, Label], ...], tuple[tuple[Label, int], ...]]
+# A sequent the state held: its log lengths and its label count.
+_Mark = tuple[int, int, int]
+
+
+class _State:
+    """One labelled sequent, changed in place, over interned formulas.
+
+    The closure gives every distinct subformula of the formulas interned an
+    id: its ``form``, ``kind``, operand ids ``left`` and ``right`` (a
+    modality's body is ``left``) and its complement's id ``comp`` (-1 when
+    the complement is not in the closure).  The sequent is ``labels``,
+    ascending; each label's formula ids in insertion order (``at``) and as a
+    set (``has``); the number of labels carrying each formula id
+    (``holders``); the insertion logs of labelled formulas (``log``) and of
+    relational atoms (``rel``); and its graph as parent pointers, as each
+    label's component id (``tree``, the component's least label) with each
+    component's members ascending (``members``), and as whether it is a
+    forest.  A sequent the state held earlier is a prefix of the two logs,
+    named by its ``mark``.
+    """
+
+    __slots__ = (
+        "_keys", "form", "kind", "left", "right", "comp", "holders",
+        "labels", "at", "has", "log", "rel", "parent", "tree", "members", "forest",
+    )
+
+    def __init__(self) -> None:
+        self._keys: dict[tuple, int] = {}
+        self.form: list[Formula] = []
+        self.kind: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.comp: list[int] = []
+        self.holders: list[int] = []
+        self.labels: list[Label] = []
+        self.at: dict[Label, list[int]] = {}
+        self.has: dict[Label, set[int]] = {}
+        self.log: list[LabelledFormula] = []
+        self.rel: list[RelAtom] = []
+        self.parent: dict[Label, Label] = {}
+        self.tree: dict[Label, Label] = {}
+        self.members: dict[Label, list[Label]] = {}
+        self.forest = True
+
+    # -- the closure ---------------------------------------------------------
+
+    def intern(self, formulas: list[Formula]) -> list[int]:
+        """The ids of ``formulas``, interning their subformulas operands
+        first, without recursion; a node already met is not walked again.
+
+        The complement of ``f & g`` is the ``|`` of the complements of ``f``
+        and ``g``, and so on by duality.  Of a formula and its complement,
+        the one interned second finds the other by that key, since the
+        complements of its operands are linked by then, and links both."""
+        ids: dict[int, int] = {}  # id() of a node met -> its formula id
+        keys, comp = self._keys, self.comp
+        for f in formulas:
+            walk, todo = [], [f]
+            while todo:
+                g = todo.pop()
+                if id(g) not in ids:
+                    walk.append(g)
+                    kind = _KIND[type(g)]
+                    if kind in (_OR, _AND):
+                        todo += (g.left, g.right)
+                    elif kind != _LIT:
+                        todo.append(g.body)
+            for g in reversed(walk):  # operands before the formula
+                cls = type(g)
+                kind = _KIND[cls]
+                if kind == _LIT:
+                    left = right = -1
+                    key, dual = (cls, g.name), (_DUAL[cls], g.name)
+                elif kind in (_OR, _AND):
+                    left, right = ids[id(g.left)], ids[id(g.right)]
+                    key, dual = (cls, left, right), (_DUAL[cls], comp[left], comp[right])
+                else:
+                    left, right = ids[id(g.body)], -1
+                    agent = g.agent if kind in (_AGDIA, _AGBOX) else 0
+                    key, dual = (cls, agent, left), (_DUAL[cls], agent, comp[left])
+                fid = keys.get(key)
+                if fid is None:
+                    fid = keys[key] = len(self.form)
+                    other = keys.get(dual, -1)
+                    if other >= 0:
+                        comp[other] = fid
+                    self.form.append(g)
+                    self.kind.append(kind)
+                    self.left.append(left)
+                    self.right.append(right)
+                    comp.append(other)
+                    self.holders.append(0)
+                ids[id(g)] = fid
+        return [ids[id(f)] for f in formulas]
+
+    # -- the sequent ---------------------------------------------------------
+
+    def mark(self) -> _Mark:
+        return len(self.log), len(self.rel), len(self.labels)
+
+    def sequent(self, mark: _Mark | None = None) -> LabelledSequent:
+        """The sequent held now, or at ``mark``."""
+        forms, rel, _ = mark or self.mark()
+        return LabelledSequent.from_distinct(self.rel[:rel], self.log[:forms])
+
+    def add_label(self, w: Label) -> None:
+        """A new label, above every label held, as a one-label tree."""
+        self.labels.append(w)
+        self.at[w] = []
+        self.has[w] = set()
+        self.tree[w] = w
+        self.members[w] = [w]
+
+    def add(self, w: Label, f: int) -> None:
+        if w not in self.at:
+            self.add_label(w)
+        if f not in self.has[w]:
+            self.has[w].add(f)
+            self.at[w].append(f)
+            self.holders[f] += 1
+            self.log.append(LabelledFormula(w, self.form[f]))
+
+    def link(self, source: Label, target: Label) -> None:
+        """Add ``R_1 source target``, whose target must be the root of
+        another tree, and merge the two trees."""
+        for w in (source, target):
+            if w not in self.at:
+                self.add_label(w)
+        atom = RelAtom(_AGENT, source, target)
+        keep, gone = sorted((self.tree[source], self.tree[target]))
+        if target in self.parent or keep == gone:
+            shown = self.sequent().extended(rel=[atom]).show()
+            raise InternalInvariantError(f"sequent is not forestlike: {shown}")
+        self.rel.append(atom)
+        self.parent[target] = source
+        moved = self.members.pop(gone)
+        for u in moved:
+            self.tree[u] = keep
+        self.members[keep] = sorted(self.members[keep] + moved)
+
+    def apply(self, premise: _Premise) -> None:
+        edges, forms = premise
+        for source, target in edges:
+            self.link(source, target)
+        for w, f in forms:
+            self.add(w, f)
+
+    def truncate(self, mark: _Mark) -> None:
+        """Go back to the sequent held at ``mark``."""
+        forms, rel, labels = mark
+        while len(self.log) > forms:
+            w = self.log.pop().label
+            f = self.at[w].pop()
+            self.has[w].discard(f)
+            self.holders[f] -= 1
+        if len(self.rel) > rel or len(self.labels) > labels:
+            for w in self.labels[labels:]:
+                del self.at[w], self.has[w]
+            del self.labels[labels:], self.rel[rel:]
+            self.graph()
+
+    def graph(self) -> None:
+        """Rebuild the graph's parent pointers, components and forest flag
+        from ``labels`` and ``rel``."""
+        trees = graph_trees(self.labels, self.rel)
+        self.forest = trees is not None
+        blocks = (
+            [t.members for t in trees]
+            if trees is not None
+            else graph_components(self.labels, self.rel)
+        )
+        self.parent = {target: source for _, source, target in self.rel}
+        self.tree = {u: min(block) for block in blocks for u in block}
+        self.members = {min(block): sorted(block) for block in blocks}
+
+    def roots(self) -> list[Label]:
+        """The roots of the choice trees, ascending."""
+        if not self.forest:
+            raise ValueError("sequent graph is not forestlike")
+        return [w for w in self.labels if w not in self.parent]
+
+
+def _load(s: LabelledSequent) -> _State:
+    """A state holding ``s``, with its formulas in the order of ``s.forms``."""
+    state = _State()
+    ids = state.intern([f for _, f in s.forms])
+    for w in s.labels():
+        state.add_label(w)
+    state.rel = list(s.rel)
+    state.graph()
+    for (w, _), f in zip(s.forms, ids):
+        state.add(w, f)
+    return state
+
+
+# ---------------------------------------------------------------------------
 # Stability
 # ---------------------------------------------------------------------------
 
 
-def _complementary_pair(s: LabelledSequent) -> LabelledFormula | None:
-    """Some ``w: f`` whose negation ``w: ~f`` is in the sequent too."""
+def _complementary_pair(state: _State) -> Label | None:
+    """A label carrying some formula and its complement."""
+    comp, has = state.comp, state.has
     return next(
-        (lf for lf in s.forms if s.has_form(lf.label, negate(lf.formula))), None
+        (w for w in state.labels if any(comp[f] in has[w] for f in state.at[w])),
+        None,
     )
 
 
 def is_stable(s: LabelledSequent, n: int) -> bool:
     """No complementary pair at any label, and no instruction fires."""
-    return _complementary_pair(s) is None and _step(s, n) is None
+    state = _load(s)
+    return _complementary_pair(state) is None and _step(state, n) is None
 
 
 # ---------------------------------------------------------------------------
 # Proof search
 # ---------------------------------------------------------------------------
 
-_AGENT = 1  # the search handles exactly one agent
-
 # An open inference; the module docstring lists its fields.
-_Frame = tuple[
-    LabelledSequent, RuleTag, dict, tuple[LabelledSequent, ...], list[Derivation], int
-]
+_Frame = tuple[_Mark, RuleTag, dict, tuple[_Premise, ...], list[Derivation], int]
 
 
 def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
@@ -186,161 +419,173 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
     derivation that passes the refined-mode checker; ``Unprovable`` results
     carry a stable sequent from which a counter-model can be read off.
     """
-    bad_agents = set(agents_of(goal)) - {_AGENT}
+    state = _State()
+    (root,) = state.intern([goal])
+    bad_agents = {g.agent for g in state.form if type(g) in (AgBox, AgDia)} - {_AGENT}
     if bad_agents:
         raise ValueError(
             f"proof search is single-agent; goal mentions agents {sorted(bad_agents)}"
         )
-    occurrences = subformulae(goal)
-    boxes = sum(1 for f in occurrences if isinstance(f, Box))
-    agboxes = sum(1 for f in occurrences if isinstance(f, AgBox))
+    # how often each distinct subformula occurs in the goal, parents first
+    occurrences = [0] * len(state.form)
+    occurrences[root] = 1
+    for f in range(root, -1, -1):
+        for operand in (state.left[f], state.right[f]):
+            if operand >= 0:
+                occurrences[operand] += occurrences[f]
+    kinds = list(zip(state.kind, occurrences))
+    boxes = sum(count for kind, count in kinds if kind == _BOX)
+    agboxes = sum(count for kind, count in kinds if kind == _AGBOX)
     stats = SearchStats(
         label_bound=(1 + boxes) * (1 + agboxes),
         rel_bound_base=agboxes * (1 + boxes),
     )
+    state.add(0, root)
     stack: list[_Frame] = []
-    current = LabelledSequent(forms=[LabelledFormula(0, goal)])
     edges = 0
     while True:
-        _note(cfg, stats, current, edges)
-        step = _step(current, cfg.choices)
+        _note(cfg, stats, state, edges)
+        step = _step(state, cfg.choices)
         if step is None:
             # 2. nothing fires, so the sequent is stable — refutation found
-            pair = _complementary_pair(current)
+            pair = _complementary_pair(state)
             if pair is not None:
                 raise InternalInvariantError(
-                    f"complementary pair at w{pair.label} of the sequent "
-                    f"no instruction applies to: {current.show()}"
+                    f"complementary pair at w{pair} of the sequent "
+                    f"no instruction applies to: {state.sequent().show()}"
                 )
-            return Unprovable(current, stats)
+            return Unprovable(state.sequent(), stats)
 
         rule, principal, premises = step
         if rule is RuleTag.APC:
-            trees = len(components(current))
+            trees, mark = len(state.members), state.mark()
             for premise in premises:
-                if len(components(premise)) != trees - 1:
+                state.apply(premise)
+                if len(state.members) != trees - 1:
                     raise InternalInvariantError(
                         "joining two roots must reduce the choice-tree "
-                        f"count by one: {premise.show()}"
+                        f"count by one: {state.sequent().show()}"
                     )
+                state.truncate(mark)
             edges += 1
         stats.steps += 1
         if cfg.max_steps is not None and stats.steps > cfg.max_steps:
             raise SearchLimitExceeded(f"step cap {cfg.max_steps} exceeded")
         if premises:
-            stack.append((current, rule, principal, premises, [], edges))
-            current = premises[0]
+            stack.append((state.mark(), rule, principal, premises, [], edges))
+            state.apply(premises[0])
             continue
 
         # 1. the branch closes: pop every inference it finishes, then
         # search the first premise still open
-        closed = Derivation(current, rule, principal)
+        closed = Derivation(state.sequent(), rule, principal)
         while stack:
-            conclusion, rule, principal, premises, done, edges = stack[-1]
+            mark, rule, principal, premises, done, edges = stack[-1]
             done.append(closed)
             if len(done) < len(premises):
-                current = premises[len(done)]
+                state.truncate(mark)
+                state.apply(premises[len(done)])
                 break
             stack.pop()
-            closed = Derivation(conclusion, rule, principal, tuple(done))
+            closed = Derivation(state.sequent(mark), rule, principal, tuple(done))
         else:
             return Provable(closed, stats)
 
 
 def _step(
-    s: LabelledSequent, n: int
-) -> tuple[RuleTag, dict, tuple[LabelledSequent, ...]] | None:
-    """The first of instructions 1 and 3-8 that fires on ``s`` at choice
+    state: _State, n: int
+) -> tuple[RuleTag, dict, tuple[_Premise, ...]] | None:
+    """The first of instructions 1 and 3-8 that fires on the state at choice
     bound ``n``: its rule, its principal data and its premises (none for a
-    clash, one per case for the splits of 3(ii) and 8)."""
-    scan = [(w, f) for w in s.labels() for f in s.forms_at(w)]
+    clash, one per case for the splits of 3(ii) and 8).
 
-    # 1. atomic clash
-    for w, f in scan:
-        if isinstance(f, (Atom, NegAtom)) and s.has_form(w, negate(f)):
-            return RuleTag.ID, {"label": w, "atom": f.name}, ()
+    One pass in scan order returns the first clash at once.  Of the other
+    triggers it keeps the first of the highest-priority instruction that
+    fires, and tests a formula only while its instruction could still win.
+    """
+    kind, left, right, comp = state.kind, state.left, state.right, state.comp
+    has, tree, members, labels = state.has, state.tree, state.members, state.labels
+    best, found = _NONE, (0, 0, 0)
+    for w in labels:
+        here = has[w]
+        for f in state.at[w]:
+            k = kind[f]
+            if k >= best:
+                continue
+            if k == _LIT:
+                if comp[f] in here:
+                    return RuleTag.ID, {"label": w, "atom": state.form[f].name}, ()
+                continue
+            body, witness = left[f], None
+            if k == _OR:
+                fires = body not in here or right[f] not in here
+            elif k == _AND:
+                fires = body not in here and right[f] not in here
+            elif k == _AGDIA:
+                mates = members[tree[w]]
+                witness = next((u for u in mates if body not in has[u]), None)
+                fires = witness is not None
+            elif k == _DIA:
+                fires = state.holders[body] < len(labels)
+            elif k == _AGBOX:
+                fires = all(body not in has[u] for u in members[tree[w]])
+            else:
+                fires = state.holders[body] == 0
+            if fires:
+                best, found = k, (w, f, witness)
 
-    # 3(i). disjunction missing a disjunct
-    for w, f in scan:
-        if isinstance(f, Or) and not (s.has_form(w, f.left) and s.has_form(w, f.right)):
-            both = [LabelledFormula(w, f.left), LabelledFormula(w, f.right)]
-            return RuleTag.OR, {"label": w, "formula": f}, (s.extended(forms=both),)
-
-    # 3(ii). conjunction with neither conjunct — case split
-    for w, f in scan:
-        if isinstance(f, And) and not (s.has_form(w, f.left) or s.has_form(w, f.right)):
-            premises = tuple(
-                s.extended(forms=[LabelledFormula(w, part)])
-                for part in (f.left, f.right)
-            )
-            return RuleTag.AND, {"label": w, "formula": f}, premises
-
-    # 4. agentive diamond not yet propagated through its choice-tree
-    for w, f in scan:
-        if isinstance(f, AgDia):
-            members = sorted(tree_of(s, w))
-            u = next((u for u in members if not s.has_form(u, f.body)), None)
-            if u is not None:
-                principal = {"agent": _AGENT, "label": w, "formula": f, "witness": u}
-                premise = s.extended(forms=[LabelledFormula(u, f.body)])
-                return RuleTag.PROP, principal, (premise,)
-
-    # 5. settledness diamond not yet propagated everywhere
-    for w, f in scan:
-        if isinstance(f, Dia):
-            u = next((u for u in s.labels() if not s.has_form(u, f.body)), None)
-            if u is not None:
-                principal = {"label": w, "formula": f, "witness": u}
-                premise = s.extended(forms=[LabelledFormula(u, f.body)])
-                return RuleTag.DIA, principal, (premise,)
-
-    # 6. unrealized agentive box — fresh choice-tree mate
-    for w, f in scan:
-        if isinstance(f, AgBox) and not any(
-            s.has_form(u, f.body) for u in tree_of(s, w)
-        ):
-            v = fresh_label(s)
-            principal = {"agent": _AGENT, "label": w, "formula": f, "fresh": v}
-            premise = s.extended(
-                rel=[RelAtom(_AGENT, w, v)], forms=[LabelledFormula(v, f.body)]
-            )
-            return RuleTag.AGBOX, principal, (premise,)
-
-    # 7. unrealized settledness box — fresh label
-    for w, f in scan:
-        if isinstance(f, Box) and not any(s.has_form(u, f.body) for u in s.labels()):
-            v = fresh_label(s)
-            principal = {"label": w, "formula": f, "fresh": v}
-            premise = s.extended(forms=[LabelledFormula(v, f.body)])
-            return RuleTag.BOX, principal, (premise,)
-
-    # 8. too many choice-trees — join roots pairwise, case per pair
-    trees = choice_trees(s) if n > 0 else ()
-    if len(trees) > n:
-        roots = tuple(t.root for t in trees[: n + 1])
+    if best == _NONE:
+        # 8. too many choice-trees — join roots pairwise, case per pair
+        roots = state.roots() if n > 0 else ()
+        if len(roots) <= n:
+            return None
+        roots = tuple(roots[: n + 1])
         premises = tuple(
-            s.extended(rel=[RelAtom(_AGENT, roots[k], roots[j])])
+            (((roots[k], roots[j]),), ())
             for k in range(n)
             for j in range(k + 1, n + 1)
         )
         return RuleTag.APC, {"agent": _AGENT, "roots": roots}, premises
 
-    return None
+    w, f, u = found
+    formula, body = state.form[f], left[f]
+    if best == _OR:
+        # 3(i). disjunction missing a disjunct
+        premise = ((), ((w, body), (w, right[f])))
+        return RuleTag.OR, {"label": w, "formula": formula}, (premise,)
+    if best == _AND:
+        # 3(ii). conjunction with neither conjunct — case split
+        premises = (((), ((w, body),)), ((), ((w, right[f]),)))
+        return RuleTag.AND, {"label": w, "formula": formula}, premises
+    if best == _AGDIA:
+        # 4. agentive diamond not yet propagated through its choice-tree
+        principal = {"agent": _AGENT, "label": w, "formula": formula, "witness": u}
+        return RuleTag.PROP, principal, (((), ((u, body),)),)
+    if best == _DIA:
+        # 5. settledness diamond not yet propagated everywhere
+        u = next(u for u in labels if body not in has[u])
+        principal = {"label": w, "formula": formula, "witness": u}
+        return RuleTag.DIA, principal, (((), ((u, body),)),)
+    v = labels[-1] + 1
+    if best == _AGBOX:
+        # 6. unrealized agentive box — fresh choice-tree mate
+        principal = {"agent": _AGENT, "label": w, "formula": formula, "fresh": v}
+        return RuleTag.AGBOX, principal, ((((w, v),), ((v, body),)),)
+    # 7. unrealized settledness box — fresh label
+    principal = {"label": w, "formula": formula, "fresh": v}
+    return RuleTag.BOX, principal, (((), ((v, body),)),)
 
 
-def _note(
-    cfg: ProverConfig, stats: SearchStats, s: LabelledSequent, apc_edges: int
-) -> None:
-    """Record sizes, monitor the proved bounds, hard-check shape."""
-    labels = len(s.labels())
+def _note(cfg: ProverConfig, stats: SearchStats, state: _State, apc_edges: int) -> None:
+    """Record sizes and monitor the proved bounds."""
+    labels, rel = len(state.labels), len(state.rel)
     stats.max_labels = max(stats.max_labels, labels)
-    if not is_forestlike(s):
-        raise InternalInvariantError(f"sequent is not forestlike: {s.show()}")
+    stats.max_rel = max(stats.max_rel, rel)
     if labels > stats.label_bound:
         _record(stats, f"label bound exceeded: {labels} labels > {stats.label_bound}")
     rel_bound = stats.rel_bound_base + apc_edges
-    if len(s.rel) > rel_bound:
-        _record(stats, f"relational bound exceeded: {len(s.rel)} atoms > {rel_bound}")
+    if rel > rel_bound:
+        _record(stats, f"relational bound exceeded: {rel} atoms > {rel_bound}")
     if cfg.max_labels is not None and labels > cfg.max_labels:
         raise SearchLimitExceeded(
             f"label cap {cfg.max_labels} exceeded ({labels} labels)"

@@ -13,7 +13,7 @@ union of rooted trees; the tree containing a label is its choice tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .formula import Formula, parse, pretty
 
@@ -41,10 +41,25 @@ class LabelledSequent:
         rel: Iterable[RelAtom] = (),
         forms: Iterable[LabelledFormula] = (),
     ):
-        self.rel: tuple[RelAtom, ...] = tuple(dict.fromkeys(rel))
-        self.forms: tuple[LabelledFormula, ...] = tuple(dict.fromkeys(forms))
-        self._rel_set = frozenset(self.rel)
-        self._forms_set = frozenset(self.forms)
+        self._fill(tuple(dict.fromkeys(rel)), tuple(dict.fromkeys(forms)))
+
+    @classmethod
+    def from_distinct(
+        cls, rel: Iterable[RelAtom], forms: Iterable[LabelledFormula]
+    ) -> "LabelledSequent":
+        """The sequent of ``rel`` and ``forms``, in their order, when neither
+        holds a duplicate: it skips the pass that drops them."""
+        s = cls.__new__(cls)
+        s._fill(tuple(rel), tuple(forms))
+        return s
+
+    def _fill(
+        self, rel: tuple[RelAtom, ...], forms: tuple[LabelledFormula, ...]
+    ) -> None:
+        self.rel = rel
+        self.forms = forms
+        self._rel_set = frozenset(rel)
+        self._forms_set = frozenset(forms)
         self._hash = hash((self._rel_set, self._forms_set))
 
     def __eq__(self, other: object) -> bool:
@@ -96,12 +111,6 @@ class LabelledSequent:
         return LabelledSequent(self.rel, (lf for lf in self.forms if lf != drop))
 
 
-def fresh_label(s: LabelledSequent) -> Label:
-    """Smallest natural strictly above every label in ``s`` (0 if empty)."""
-    labels = s.labels()
-    return labels[-1] + 1 if labels else 0
-
-
 # ---------------------------------------------------------------------------
 # Sequent graphs
 # ---------------------------------------------------------------------------
@@ -125,10 +134,12 @@ def graph_of(s: LabelledSequent) -> SequentGraph:
     )
 
 
-def _adjacency(s: LabelledSequent, agent: int | None) -> dict[Label, list[Label]]:
+def _adjacency(
+    labels: Iterable[Label], rel: Iterable[RelAtom], agent: int | None
+) -> dict[Label, list[Label]]:
     # Edges are read both ways; with ``agent`` given, only its atoms count.
-    adjacency: dict[Label, list[Label]] = {w: [] for w in s.labels()}
-    for a, src, tgt in s.rel:
+    adjacency: dict[Label, list[Label]] = {w: [] for w in labels}
+    for a, src, tgt in rel:
         if agent is None or a == agent:
             adjacency[src].append(tgt)
             adjacency[tgt].append(src)
@@ -146,20 +157,28 @@ def _walk(adjacency: Mapping[Label, list[Label]], start: Label) -> frozenset[Lab
     return frozenset(seen)
 
 
-def components(
-    s: LabelledSequent, agent: int | None = None
+def graph_components(
+    labels: Iterable[Label], rel: Iterable[RelAtom], agent: int | None = None
 ) -> tuple[frozenset[Label], ...]:
-    """The weakly connected components of the sequent graph, sorted by their
-    least label.  With ``agent`` given, only that agent's atoms are edges."""
-    adjacency = _adjacency(s, agent)
+    """``components`` of the graph on ``labels`` (ascending, each label of
+    ``rel`` among them) with the atoms ``rel`` as edges."""
+    adjacency = _adjacency(labels, rel, agent)
     blocks: list[frozenset[Label]] = []
     placed: set[Label] = set()
-    for w in adjacency:  # ascending, as s.labels() is
+    for w in adjacency:  # ascending, as the labels are
         if w not in placed:
             block = _walk(adjacency, w)
             placed |= block
             blocks.append(block)
     return tuple(blocks)
+
+
+def components(
+    s: LabelledSequent, agent: int | None = None
+) -> tuple[frozenset[Label], ...]:
+    """The weakly connected components of the sequent graph, sorted by their
+    least label.  With ``agent`` given, only that agent's atoms are edges."""
+    return graph_components(s.labels(), s.rel, agent)
 
 
 @dataclass(frozen=True)
@@ -168,18 +187,20 @@ class ChoiceTree:
     members: frozenset[Label]
 
 
-def _forest(s: LabelledSequent) -> tuple[ChoiceTree, ...] | None:
-    """The trees of the sequent graph sorted by root, or ``None`` when the
-    graph is not a forest."""
+def graph_trees(
+    labels: Iterable[Label], rel: Sequence[RelAtom]
+) -> tuple[ChoiceTree, ...] | None:
+    """The trees of the graph on ``labels`` with the atoms ``rel`` as edges,
+    sorted by root, or ``None`` when that graph is not a forest."""
     # Parallel atoms with different agents collapse to one edge of V x V.
-    pairs = {(src, tgt) for _, src, tgt in s.rel}
+    pairs = {(src, tgt) for _, src, tgt in rel}
     targets = {tgt for _, tgt in pairs}
     if len(targets) < len(pairs):
         return None  # some label has in-degree two
     # With in-degree <= 1 everywhere, each component is a tree exactly when
     # it has one in-degree-0 label (its root).
     trees = []
-    for members in components(s):
+    for members in graph_components(labels, rel):
         roots = members - targets
         if len(roots) != 1:
             return None
@@ -194,12 +215,12 @@ def is_forestlike(s: LabelledSequent) -> bool:
     Agent labels on edges are ignored; the check is meant for single-agent
     sequents, where every edge carries agent 1 anyway.
     """
-    return _forest(s) is not None
+    return graph_trees(s.labels(), s.rel) is not None
 
 
 def choice_trees(s: LabelledSequent) -> tuple[ChoiceTree, ...]:
     """The trees of a forestlike sequent, sorted by root label."""
-    trees = _forest(s)
+    trees = graph_trees(s.labels(), s.rel)
     if trees is None:
         raise ValueError("sequent graph is not forestlike")
     return trees
@@ -208,7 +229,7 @@ def choice_trees(s: LabelledSequent) -> tuple[ChoiceTree, ...]:
 def tree_of(s: LabelledSequent, label: Label) -> frozenset[Label]:
     """Members of the weakly connected component containing ``label``,
     found by walking out from ``label`` alone."""
-    adjacency = _adjacency(s, None)
+    adjacency = _adjacency(s.labels(), s.rel, None)
     if label not in adjacency:
         raise ValueError(f"label w{label} does not occur in the sequent")
     return _walk(adjacency, label)

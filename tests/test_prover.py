@@ -8,6 +8,7 @@ check the two against each other.
 """
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from stitprover import (
     prove,
 )
 from stitprover import prover
+from stitprover.formula import MAX_NESTING
 from stitprover.sequent import choice_trees, tree_of
 
 P, Q = Atom("p"), Atom("q")
@@ -328,12 +330,16 @@ def test_is_stable_matches_the_reference_on_random_sequents(s, n):
 
 
 def _first_step(monkeypatch, make_step):
-    """Replace ``_step`` by ``make_step`` on the root, and by "stable" after."""
+    """Replace ``_step`` by ``make_step`` on the root, and by "stable" after.
+
+    ``_step`` reads the search state and returns each premise as what it
+    adds to the conclusion: relational atoms as (source, target) pairs, then
+    (label, formula id) pairs."""
     calls = []
 
-    def patched(s, n):
-        calls.append(s)
-        return make_step(s) if len(calls) == 1 else None
+    def patched(state, n):
+        calls.append(state)
+        return make_step(state) if len(calls) == 1 else None
 
     monkeypatch.setattr(prover, "_step", patched)
 
@@ -343,7 +349,7 @@ def test_a_complementary_pair_at_the_stable_leaf_is_an_internal_error(monkeypatc
     out.  Here ``_step`` is cut off after its first step, which puts ``p``
     and ``~p`` at w0 without closing the branch."""
     real_step = prover._step
-    _first_step(monkeypatch, lambda s: real_step(s, 0))
+    _first_step(monkeypatch, lambda state: real_step(state, 0))
     with pytest.raises(InternalInvariantError, match="complementary pair at w0"):
         prove(ProverConfig(choices=0), parse("p | ~p"))
 
@@ -352,21 +358,21 @@ def test_a_choice_split_that_keeps_the_tree_count_is_an_internal_error(
     monkeypatch,
 ):
     """The one-tree-fewer check of the choice rule comes before the step is
-    counted: with a step cap of 0 it is still the invariant that fires."""
+    counted: with a step cap of 0 it is still the invariant that fires.  The
+    premise adds no edge, so it passes the forest check on new edges."""
     _first_step(
-        monkeypatch, lambda s: (RuleTag.APC, {"agent": 1, "roots": (0, 0)}, (s,))
+        monkeypatch,
+        lambda state: (RuleTag.APC, {"agent": 1, "roots": (0, 0)}, (((), ()),)),
     )
     with pytest.raises(InternalInvariantError, match="joining two roots"):
         prove(ProverConfig(choices=1, max_steps=0), P)
 
 
 def test_a_premise_that_is_not_forestlike_is_an_internal_error(monkeypatch):
-    """Every premise is checked for forest shape before it is searched; a
-    self-loop leaves the one component of w0 without a root."""
-    _first_step(
-        monkeypatch,
-        lambda s: (RuleTag.BOX, {}, (s.extended(rel=[RelAtom(1, 0, 0)]),)),
-    )
+    """Every new edge is checked for forest shape as it is added: its target
+    must be the root of another tree.  A self-loop at w0 stays inside the
+    one tree of w0."""
+    _first_step(monkeypatch, lambda state: (RuleTag.BOX, {}, ((((0, 0),), ()),)))
     with pytest.raises(InternalInvariantError, match="sequent is not forestlike"):
         prove(ProverConfig(choices=0), P)
 
@@ -489,6 +495,17 @@ def test_known_bound_gap_is_monitored_not_fatal():
     assert isinstance(decide_by_enumeration(goal), CounterModel)
 
 
+def test_both_size_bounds_are_met_exactly():
+    """The claim of the ``prover`` docstring: ``box dia [1] box p`` at
+    n = 1 reaches its label bound, 6, and its relational bound, 5: three
+    atoms from the agentive box and two from choice-rule edges."""
+    result = prove(ProverConfig(choices=1), parse("box dia [1] box p"))
+    assert result.stats.max_labels == 6 == result.stats.label_bound
+    assert result.stats.max_rel == 5
+    assert result.stats.rel_bound_base == 3
+    assert result.stats.bound_violations == []
+
+
 def test_unbounded_agreement_on_a_choice_axiom():
     goal = parse("dia [1] p -> p")
     assert isinstance(prove(ProverConfig(choices=1), goal), Provable)
@@ -507,17 +524,24 @@ def _frame_depth():
     return depth
 
 
-def test_nested_case_splits_do_not_grow_the_python_stack():
-    """A balanced disjunction of 100 ``p_i & q_i`` puts 100 case splits on
-    one branch.  The search runs with room for only 100 more Python frames,
-    so it must not take a frame per split."""
-    parts = [And(Atom(f"p{i}"), Atom(f"q{i}")) for i in range(100)]
+def _disjunction_of_conjunctions(k):
+    """``(p0 & q0) | ... | (p{k-1} & q{k-1})``, balanced: ``k`` case splits
+    on one branch of the search."""
+    parts = [And(Atom(f"p{i}"), Atom(f"q{i}")) for i in range(k)]
     while len(parts) > 1:
         parts = [
             Or(*parts[i : i + 2]) if i + 1 < len(parts) else parts[i]
             for i in range(0, len(parts), 2)
         ]
     (goal,) = parts
+    return goal
+
+
+def test_nested_case_splits_do_not_grow_the_python_stack():
+    """A balanced disjunction of 100 ``p_i & q_i`` puts 100 case splits on
+    one branch.  The search runs with room for only 100 more Python frames,
+    so it must not take a frame per split."""
+    goal = _disjunction_of_conjunctions(100)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
@@ -528,3 +552,34 @@ def test_nested_case_splits_do_not_grow_the_python_stack():
     model, _ = extract_countermodel(result.stable, 0, 0)
     assert check_frame(model, 1, 0).ok
     assert not evaluate(model, 0, goal)
+
+
+# ---------------------------------------------------------------------------
+# Scaling: a step costs about the same on a big sequent as on a small one
+# ---------------------------------------------------------------------------
+
+
+def test_a_600_way_disjunction_is_refuted_in_seconds():
+    """600 case splits on one branch, 1,199 steps on a sequent that grows to
+    about 3,000 labelled formulas; the gate is generous for a slow host."""
+    goal = _disjunction_of_conjunctions(600)
+    start = time.perf_counter()
+    result = prove(ProverConfig(choices=0), goal)
+    elapsed = time.perf_counter() - start
+    assert isinstance(result, Unprovable)
+    model, interp = extract_countermodel(result.stable, 0, 0)
+    assert check_frame(model, 1, 0).ok
+    assert not evaluate(model, interp[0], goal)
+    assert elapsed < 5.0
+
+
+def test_a_box_tower_at_the_nesting_limit_is_decided_in_under_a_second():
+    """``box^100 p``, as deep as the parser allows: one fresh label a step."""
+    goal = parse("box " * MAX_NESTING + "p")
+    start = time.perf_counter()
+    result = prove(ProverConfig(choices=0), goal)
+    elapsed = time.perf_counter() - start
+    assert isinstance(result, Unprovable)
+    assert result.stats.steps == MAX_NESTING
+    assert result.stats.max_labels == MAX_NESTING + 1
+    assert elapsed < 1.0

@@ -17,7 +17,7 @@ from stitprover import (
     sequent_from_json,
     sequent_to_json,
 )
-from stitprover.sequent import fresh_label, tree_of
+from stitprover.sequent import tree_of
 
 W, U, V, Z = 0, 1, 2, 3
 P = Atom("p")
@@ -93,16 +93,6 @@ def test_without_form_removes_one_formula():
     t = s.without_form(W, P)
     assert not t.has_form(W, P)
     assert t.has_form(U, P)
-
-
-def test_fresh_label_is_one_past_the_largest():
-    assert fresh_label(seq()) == 0
-    assert fresh_label(seq(forms=[LabelledFormula(3, P)])) == 4
-
-
-@given(small_sequents())
-def test_fresh_label_never_collides(s):
-    assert fresh_label(s) not in s.labels()
 
 
 # ---------------------------------------------------------------------------
