@@ -561,7 +561,7 @@ def test_nested_case_splits_do_not_grow_the_python_stack():
 
 def test_a_600_way_disjunction_is_refuted_in_seconds():
     """600 case splits on one branch, 1,199 steps on a sequent that grows to
-    about 3,000 labelled formulas; the gate is generous for a slow host."""
+    1,799 labelled formulas; the gate is generous for a slow host."""
     goal = _disjunction_of_conjunctions(600)
     start = time.perf_counter()
     result = prove(ProverConfig(choices=0), goal)
