@@ -58,7 +58,6 @@ from .semantics import (
     decide_by_enumeration,
     evaluate,
     extract_countermodel,
-    globally_true,
     model_from_json,
     model_to_json,
 )
@@ -66,12 +65,9 @@ from .sequent import (
     LabelledFormula,
     LabelledSequent,
     RelAtom,
-    choice_trees,
     graph_of,
-    is_forestlike,
     sequent_from_json,
     sequent_to_json,
-    tree_of,
 )
 
 __all__ = [
@@ -81,10 +77,9 @@ __all__ = [
     "ParseError", "Provable", "ProveResult", "ProverConfig", "RelAtom",
     "RuleTag", "SearchLimitExceeded", "Unprovable", "Valid", "ValidUpToBound",
     "check_derivation", "check_frame", "check_inference",
-    "choice_trees", "decide_by_enumeration", "derivation_from_json",
-    "derivation_to_json", "enumerate_formulas", "evaluate",
-    "extract_countermodel", "globally_true", "graph_of", "iff", "implies",
-    "is_forestlike", "is_stable", "model_from_json", "model_to_json",
+    "decide_by_enumeration", "derivation_from_json", "derivation_to_json",
+    "enumerate_formulas", "evaluate", "extract_countermodel", "graph_of",
+    "iff", "implies", "is_stable", "model_from_json", "model_to_json",
     "negate", "parse", "pretty", "prove", "random_formula",
-    "sequent_from_json", "sequent_to_json", "side_condition_holds", "tree_of",
+    "sequent_from_json", "sequent_to_json", "side_condition_holds",
 ]

@@ -10,10 +10,16 @@ Two backward calculi over labelled sequents share most rules:
   favour of a propagation rule guarded by automaton reachability, and its
   agentive-box rule **keeps** the principal formula.
 
-Premises are matched by exact set equality against the conclusion extended
-with the rule's additions, so a certificate cannot smuggle in or lose
-formulas.  Rules marked with an eigenvariable require the new label to be
-absent from the conclusion.
+Each rule is stated once, in ``_additions``, as side conditions plus
+additions: given the conclusion and the principal data, it checks the
+conditions and returns the sequent the premises extend (the conclusion, or
+for the G3 agentive box the conclusion less its principal formula) and what
+each premise adds, relational atoms and labelled formulas.  A node's stored
+premises must equal those extensions as a multiset, so a certificate cannot
+smuggle in or lose formulas.  Rules with an eigenvariable require the new
+label to be absent from the conclusion.  Well-formedness (every agent in
+``1..m``) is checked once per call, on the root; ``check_derivation`` says
+why that covers every node.
 
 Principal data is a plain dict whose keys depend on the rule:
 
@@ -38,7 +44,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from itertools import combinations
+from typing import Any, Mapping, NoReturn, Sequence
 
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
 from .formula import agents_of, parse, pretty
@@ -47,6 +54,7 @@ from .sequent import (
     LabelledFormula,
     LabelledSequent,
     RelAtom,
+    _exact,
     components,
     sequent_from_json,
     sequent_to_json,
@@ -74,34 +82,8 @@ class RuleTag(Enum):
 
 
 _ALLOWED = {
-    Mode.G3: frozenset(
-        {
-            RuleTag.ID,
-            RuleTag.AND,
-            RuleTag.OR,
-            RuleTag.BOX,
-            RuleTag.DIA,
-            RuleTag.AGBOX,
-            RuleTag.AGDIA,
-            RuleTag.REFL,
-            RuleTag.EUCL,
-            RuleTag.IOA,
-            RuleTag.APC,
-        }
-    ),
-    Mode.REFINED: frozenset(
-        {
-            RuleTag.ID,
-            RuleTag.AND,
-            RuleTag.OR,
-            RuleTag.BOX,
-            RuleTag.DIA,
-            RuleTag.AGBOX,
-            RuleTag.PROP,
-            RuleTag.IOA,
-            RuleTag.APC,
-        }
-    ),
+    Mode.G3: frozenset(RuleTag) - {RuleTag.PROP},
+    Mode.REFINED: frozenset(RuleTag) - {RuleTag.AGDIA, RuleTag.REFL, RuleTag.EUCL},
 }
 
 
@@ -177,8 +159,10 @@ def side_condition_holds(
 
 
 def check_inference(cfg: CalculusConfig, node: Derivation) -> CheckResult:
-    """Validate one inference: the node's premises against its conclusion."""
+    """Validate one inference: the node's conclusion is well formed and its
+    premises are the conclusion extended by the rule's additions."""
     try:
+        _check_sequent_wellformed(cfg, node.conclusion)
         _check_node(cfg, node)
     except _RuleViolation as bad:
         return CheckResult(False, str(bad))
@@ -187,7 +171,25 @@ def check_inference(cfg: CalculusConfig, node: Derivation) -> CheckResult:
 
 def check_derivation(cfg: CalculusConfig, root: Derivation) -> CheckResult:
     """Validate every inference of a derivation tree, reporting the first
-    offender by its path from the root."""
+    offender by its path from the root.
+
+    Well-formedness (every agent in ``1..m``) is checked on the root alone,
+    and that covers every node:
+
+    * every other conclusion must equal its parent's conclusion (less the
+      principal formula, for the G3 agentive box) plus the rule's additions;
+    * those additions are parts of a principal formula the parent carries,
+      or relational atoms of an agent already in range: the agent of that
+      formula or of an atom the parent carries, one checked against ``m``,
+      or each of ``1..m`` for the independence rule;
+    * parents are checked before their premises, so an ill-formed inner
+      conclusion fails its parent's premise comparison, and the first
+      offender and its path are those of a walk that checks every node.
+    """
+    try:
+        _check_sequent_wellformed(cfg, root.conclusion)
+    except _RuleViolation as bad:
+        return CheckResult(False, str(bad), "root")
     stack: list[tuple[Derivation, str]] = [(root, "root")]
     while stack:
         node, path = stack.pop()
@@ -204,7 +206,7 @@ class _RuleViolation(Exception):
     pass
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     raise _RuleViolation(message)
 
 
@@ -214,6 +216,17 @@ def _want(principal: Mapping[str, Any], key: str, kind: type) -> Any:
     value = principal[key]
     if kind is int and isinstance(value, bool) or not isinstance(value, kind):
         _fail(f"principal entry {key!r} should be a {kind.__name__}")
+    return value
+
+
+def _want_label_tuple(principal: Mapping[str, Any], key: str) -> tuple[int, ...]:
+    if key not in principal:
+        _fail(f"principal data is missing {key!r}")
+    value = principal[key]
+    if not isinstance(value, tuple) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        _fail(f"principal entry {key!r} should be a tuple of labels")
     return value
 
 
@@ -227,209 +240,167 @@ def _check_sequent_wellformed(cfg: CalculusConfig, s: LabelledSequent) -> None:
                 _fail(f"formula {pretty(f)} uses agent {agent}, but m={cfg.agents}")
 
 
-def _premise_seqs(node: Derivation, count: int) -> list[LabelledSequent]:
-    if len(node.premises) != count:
-        _fail(
-            f"rule {node.rule.value} expects {count} premise(s), "
-            f"found {len(node.premises)}"
-        )
-    return [p.conclusion for p in node.premises]
-
-
 def _check_node(cfg: CalculusConfig, node: Derivation) -> None:
+    """One inference: the rule's side conditions, then its premises, as a
+    multiset, against the extensions that ``_additions`` prescribes."""
     if node.rule not in _ALLOWED[cfg.mode]:
         _fail(f"rule {node.rule.value} is not part of the {cfg.mode.value} calculus")
-    _check_sequent_wellformed(cfg, node.conclusion)
+    base, additions = _additions(cfg, node.conclusion, node.rule, node.principal)
+    if len(node.premises) != len(additions):
+        _fail(
+            f"rule {node.rule.value} expects {len(additions)} premise(s), "
+            f"found {len(node.premises)}"
+        )
+    expected = Counter(base.extended(rel, forms) for rel, forms in additions)
+    if Counter(p.conclusion for p in node.premises) != expected:
+        _fail(f"premises do not match the additions of rule {node.rule.value}")
 
-    concl = node.conclusion
-    principal = node.principal
-    labels = set(concl.labels())
 
-    match node.rule:
+# What one premise adds: relational atoms, then labelled formulas.
+_Addition = tuple[Sequence[RelAtom], Sequence[LabelledFormula]]
+
+
+def _additions(
+    cfg: CalculusConfig,
+    concl: LabelledSequent,
+    rule: RuleTag,
+    principal: Mapping[str, Any],
+) -> tuple[LabelledSequent, list[_Addition]]:
+    """The one statement of each rule.  Check the side conditions of ``rule``
+    with ``principal`` on ``concl``, then return the sequent its premises
+    extend (``concl``, or ``concl`` less ``w: [i] f`` for the G3 agentive
+    box) and what each premise adds to it, in premise order."""
+    match rule:
         case RuleTag.ID:
             w = _want(principal, "label", int)
             name = _want(principal, "atom", str)
-            _premise_seqs(node, 0)
             if not concl.has_form(w, Atom(name)) or not concl.has_form(w, NegAtom(name)):
                 _fail(f"conclusion lacks the clash w{w}:{name}, w{w}:~{name}")
+            return concl, []
 
         case RuleTag.AND:
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", And)
-            premises = _premise_seqs(node, 2)
-            if not concl.has_form(w, f):
-                _fail("principal conjunction is not in the conclusion")
-            expected = [
-                concl.extended(forms=[LabelledFormula(w, f.left)]),
-                concl.extended(forms=[LabelledFormula(w, f.right)]),
+            w, f = _principal_formula(principal, concl, And)
+            return concl, [
+                ((), [LabelledFormula(w, f.left)]),
+                ((), [LabelledFormula(w, f.right)]),
             ]
-            if Counter(premises) != Counter(expected):
-                _fail("premises do not match the two conjunct extensions")
 
         case RuleTag.OR:
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", Or)
-            (premise,) = _premise_seqs(node, 1)
-            if not concl.has_form(w, f):
-                _fail("principal disjunction is not in the conclusion")
-            expected = concl.extended(
-                forms=[LabelledFormula(w, f.left), LabelledFormula(w, f.right)]
-            )
-            if premise != expected:
-                _fail("premise must add exactly both disjuncts")
+            w, f = _principal_formula(principal, concl, Or)
+            return concl, [
+                ((), [LabelledFormula(w, f.left), LabelledFormula(w, f.right)])
+            ]
 
         case RuleTag.BOX:
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", Box)
-            v = _want(principal, "fresh", int)
-            (premise,) = _premise_seqs(node, 1)
-            if not concl.has_form(w, f):
-                _fail("principal box formula is not in the conclusion")
-            if v in labels:
-                _fail(f"eigenvariable w{v} already occurs in the conclusion")
-            if premise != concl.extended(forms=[LabelledFormula(v, f.body)]):
-                _fail("premise must add exactly the fresh instance of the body")
+            _, f = _principal_formula(principal, concl, Box)
+            v = _fresh(principal, concl)
+            return concl, [((), [LabelledFormula(v, f.body)])]
 
         case RuleTag.DIA:
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", Dia)
-            u = _want(principal, "witness", int)
-            (premise,) = _premise_seqs(node, 1)
-            if not concl.has_form(w, f):
-                _fail("principal diamond formula is not in the conclusion")
-            if u not in labels:
-                _fail(f"witness w{u} does not occur in the conclusion")
-            if premise != concl.extended(forms=[LabelledFormula(u, f.body)]):
-                _fail("premise must add exactly the witnessed body")
+            _, f = _principal_formula(principal, concl, Dia)
+            u = _witness(principal, concl)
+            return concl, [((), [LabelledFormula(u, f.body)])]
 
         case RuleTag.AGBOX:
-            agent = _want(principal, "agent", int)
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", AgBox)
-            v = _want(principal, "fresh", int)
-            (premise,) = _premise_seqs(node, 1)
-            if f.agent != agent:
-                _fail("principal agent does not match the formula")
-            if not concl.has_form(w, f):
-                _fail("principal agentive box is not in the conclusion")
-            if v in labels:
-                _fail(f"eigenvariable w{v} already occurs in the conclusion")
+            w, f = _principal_formula(principal, concl, AgBox)
+            v = _fresh(principal, concl)
             base = concl if cfg.mode is Mode.REFINED else concl.without_form(w, f)
-            expected = base.extended(
-                rel=[RelAtom(agent, w, v)], forms=[LabelledFormula(v, f.body)]
-            )
-            if premise != expected:
-                _fail("premise does not match the agentive box shape for this mode")
+            return base, [([RelAtom(f.agent, w, v)], [LabelledFormula(v, f.body)])]
 
         case RuleTag.AGDIA:
-            agent = _want(principal, "agent", int)
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", AgDia)
+            w, f = _principal_formula(principal, concl, AgDia)
             u = _want(principal, "witness", int)
-            (premise,) = _premise_seqs(node, 1)
-            if f.agent != agent:
-                _fail("principal agent does not match the formula")
-            if not concl.has_form(w, f):
-                _fail("principal agentive diamond is not in the conclusion")
-            if not concl.has_rel(RelAtom(agent, w, u)):
-                _fail(f"conclusion lacks the relational atom R_{agent} w{w} w{u}")
-            if premise != concl.extended(forms=[LabelledFormula(u, f.body)]):
-                _fail("premise must add exactly the witnessed body")
+            if not concl.has_rel(RelAtom(f.agent, w, u)):
+                _fail(f"conclusion lacks the relational atom R_{f.agent} w{w} w{u}")
+            return concl, [((), [LabelledFormula(u, f.body)])]
 
         case RuleTag.PROP:
-            agent = _want(principal, "agent", int)
-            w = _want(principal, "label", int)
-            f = _want(principal, "formula", AgDia)
-            u = _want(principal, "witness", int)
-            (premise,) = _premise_seqs(node, 1)
-            if f.agent != agent:
-                _fail("principal agent does not match the formula")
-            if not concl.has_form(w, f):
-                _fail("principal agentive diamond is not in the conclusion")
-            if u not in labels:
-                _fail(f"witness w{u} does not occur in the conclusion")
-            if not side_condition_holds(concl, agent, w, u):
+            w, f = _principal_formula(principal, concl, AgDia)
+            u = _witness(principal, concl)
+            if not side_condition_holds(concl, f.agent, w, u):
                 _fail(
-                    f"propagation side condition fails: no <{agent}>* word "
+                    f"propagation side condition fails: no <{f.agent}>* word "
                     f"from w{w} to w{u}"
                 )
-            if premise != concl.extended(forms=[LabelledFormula(u, f.body)]):
-                _fail("premise must add exactly the propagated body")
+            return concl, [((), [LabelledFormula(u, f.body)])]
 
         case RuleTag.REFL:
             agent = _want(principal, "agent", int)
             w = _want(principal, "label", int)
-            (premise,) = _premise_seqs(node, 1)
             if not 1 <= agent <= cfg.agents:
                 _fail(f"agent {agent} out of range 1..{cfg.agents}")
-            if premise != concl.extended(rel=[RelAtom(agent, w, w)]):
-                _fail("premise must add exactly the reflexive atom")
+            return concl, [([RelAtom(agent, w, w)], ())]
 
         case RuleTag.EUCL:
             agent = _want(principal, "agent", int)
-            apex = _want(principal, "apex", int)
-            source = _want(principal, "source", int)
-            target = _want(principal, "target", int)
-            (premise,) = _premise_seqs(node, 1)
-            if not concl.has_rel(RelAtom(agent, apex, source)):
-                _fail(f"conclusion lacks R_{agent} w{apex} w{source}")
-            if not concl.has_rel(RelAtom(agent, apex, target)):
-                _fail(f"conclusion lacks R_{agent} w{apex} w{target}")
-            if premise != concl.extended(rel=[RelAtom(agent, source, target)]):
-                _fail("premise must add exactly the euclidean atom")
+            apex, source, target = (
+                _want(principal, key, int) for key in ("apex", "source", "target")
+            )
+            for end in (source, target):
+                if not concl.has_rel(RelAtom(agent, apex, end)):
+                    _fail(f"conclusion lacks R_{agent} w{apex} w{end}")
+            return concl, [([RelAtom(agent, source, target)], ())]
 
         case RuleTag.IOA:
             targets = _want_label_tuple(principal, "targets")
-            v = _want(principal, "fresh", int)
-            (premise,) = _premise_seqs(node, 1)
             if len(targets) != cfg.agents:
                 _fail(
                     f"independence rule needs one target per agent "
                     f"({cfg.agents}), found {len(targets)}"
                 )
-            if v in labels or v in targets:
-                _fail(f"eigenvariable w{v} is not fresh")
-            expected = concl.extended(
-                rel=[
-                    RelAtom(agent, targets[agent - 1], v)
-                    for agent in range(1, cfg.agents + 1)
-                ]
-            )
-            if premise != expected:
-                _fail("premise must add exactly one fresh connection per agent")
+            v = _fresh(principal, concl, *targets)
+            return concl, [
+                ([RelAtom(agent, t, v) for agent, t in enumerate(targets, 1)], ())
+            ]
 
         case RuleTag.APC:
             agent = _want(principal, "agent", int)
             roots = _want_label_tuple(principal, "roots")
-            if cfg.choices < 1:
+            n = cfg.choices
+            if n < 1:
                 _fail("the choice rule is absent when the bound n is 0")
             if not 1 <= agent <= cfg.agents:
                 _fail(f"agent {agent} out of range 1..{cfg.agents}")
-            n = cfg.choices
             if len(roots) != n + 1:
                 _fail(f"the choice rule needs n+1 = {n + 1} labels, found {len(roots)}")
-            premises = _premise_seqs(node, n * (n + 1) // 2)
-            expected = [
-                concl.extended(rel=[RelAtom(agent, roots[k], roots[j])])
-                for k in range(n)
-                for j in range(k + 1, n + 1)
-            ]
-            if Counter(premises) != Counter(expected):
-                _fail("premises do not match the pairwise connection extensions")
+            pairs = combinations(roots, 2)
+            return concl, [([RelAtom(agent, u, v)], ()) for u, v in pairs]
 
-        case _:
-            _fail(f"unknown rule tag {node.rule!r}")
+    _fail(f"unknown rule tag {rule!r}")
 
 
-def _want_label_tuple(principal: Mapping[str, Any], key: str) -> tuple[int, ...]:
-    if key not in principal:
-        _fail(f"principal data is missing {key!r}")
-    value = principal[key]
-    if not isinstance(value, tuple) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        _fail(f"principal entry {key!r} should be a tuple of labels")
-    return value
+def _principal_formula(
+    principal: Mapping[str, Any], concl: LabelledSequent, kind: type
+) -> tuple[Label, Formula]:
+    """The principal ``w: f``: ``f`` of class ``kind``, carried by the
+    conclusion, and naming the principal ``agent`` when ``kind`` does."""
+    agentive = kind in (AgBox, AgDia)
+    agent = _want(principal, "agent", int) if agentive else None
+    w = _want(principal, "label", int)
+    f = _want(principal, "formula", kind)
+    if agentive and f.agent != agent:
+        _fail("principal agent does not match the formula")
+    if not concl.has_form(w, f):
+        _fail(f"principal formula at w{w} is not in the conclusion")
+    return w, f
+
+
+def _fresh(
+    principal: Mapping[str, Any], concl: LabelledSequent, *taken: Label
+) -> Label:
+    """The eigenvariable: a label neither in the conclusion nor ``taken``."""
+    v = _want(principal, "fresh", int)
+    if v in concl.labels() or v in taken:
+        _fail(f"eigenvariable w{v} is not fresh")
+    return v
+
+
+def _witness(principal: Mapping[str, Any], concl: LabelledSequent) -> Label:
+    """The witness: a label of the conclusion."""
+    u = _want(principal, "witness", int)
+    if u not in concl.labels():
+        _fail(f"witness w{u} does not occur in the conclusion")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +438,36 @@ def _node_to_json(node: Derivation) -> dict:
 
 
 def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
+    """Read a certificate.  Labels, agents, ``m`` and ``n`` must be ints, and
+    atoms and formulas strings, exactly: nothing is coerced."""
+    _exact(obj, dict, "certificate")
     cfg = CalculusConfig(
-        agents=int(obj["m"]), choices=int(obj["n"]), mode=Mode(obj["mode"])
+        agents=_exact(obj["m"], int, "m"),
+        choices=_exact(obj["n"], int, "n"),
+        mode=Mode(obj["mode"]),
     )
-    return cfg, _node_from_json(obj["derivation"], cfg.agents)
+    return cfg, _node_from_json(obj["derivation"], cfg.agents, "derivation")
 
 
-def _node_from_json(obj: dict, agents: int) -> Derivation:
+def _node_from_json(obj: dict, agents: int, field: str) -> Derivation:
+    _exact(obj, dict, field)
     principal: dict[str, Any] = {}
-    for key, value in obj.get("principal", {}).items():
+    for key, value in _exact(obj.get("principal", {}), dict, "principal").items():
         if key in _FORMULA_KEYS:
-            principal[key] = parse(value, agents)
+            principal[key] = parse(_exact(value, str, key), agents)
         elif key in _TUPLE_KEYS:
-            principal[key] = tuple(int(x) for x in value)
+            items = _exact(value, list, key)
+            principal[key] = tuple(_exact(x, int, key) for x in items)
         elif key == "atom":
-            principal[key] = str(value)
+            principal[key] = _exact(value, str, key)
         else:
-            principal[key] = int(value)
+            principal[key] = _exact(value, int, key)
     return Derivation(
         conclusion=sequent_from_json(obj["sequent"], agents),
         rule=RuleTag(obj["rule"]),
         principal=principal,
-        premises=tuple(_node_from_json(p, agents) for p in obj.get("premises", [])),
+        premises=tuple(
+            _node_from_json(p, agents, "premise")
+            for p in _exact(obj.get("premises", []), list, "premises")
+        ),
     )

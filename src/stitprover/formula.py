@@ -141,13 +141,18 @@ def subformulae(f: Formula) -> tuple[Formula, ...]:
 
 
 def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    match f:
-        case And(left, right) | Or(left, right):
-            yield from _walk(left)
-            yield from _walk(right)
-        case Box(body) | Dia(body) | AgBox(_, body) | AgDia(_, body):
-            yield from _walk(body)
+    """The nodes of ``f`` in pre-order, left before right, on an explicit
+    stack, so the depth of ``f`` is limited by memory only."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        match g:
+            case And(left, right) | Or(left, right):
+                todo.append(right)
+                todo.append(left)
+            case Box(body) | Dia(body) | AgBox(_, body) | AgDia(_, body):
+                todo.append(body)
 
 
 def atoms(f: Formula) -> frozenset[str]:

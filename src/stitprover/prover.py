@@ -108,7 +108,6 @@ from .sequent import (
     LabelledSequent,
     RelAtom,
     graph_components,
-    graph_trees,
 )
 
 
@@ -353,12 +352,13 @@ class _State:
     def graph(self) -> None:
         """Rebuild the graph's parent pointers, components and forest flag
         from ``labels`` and ``rel``."""
-        trees = graph_trees(self.labels, self.rel)
-        self.forest = trees is not None
-        blocks = (
-            [t.members for t in trees]
-            if trees is not None
-            else graph_components(self.labels, self.rel)
+        blocks = graph_components(self.labels, self.rel)
+        # A forest: in-degree at most 1 on the distinct edges (parallel atoms
+        # of different agents are one edge), and one root per component.
+        edges = {(source, target) for _, source, target in self.rel}
+        targets = {target for _, target in edges}
+        self.forest = len(targets) == len(edges) and all(
+            len(block - targets) == 1 for block in blocks
         )
         self.parent = {target: source for _, source, target in self.rel}
         self.tree = {u: min(block) for block in blocks for u in block}

@@ -200,11 +200,6 @@ def evaluate(model: Model, world: int, f: Formula) -> bool:
     return world in truth[f]
 
 
-def globally_true(model: Model, f: Formula) -> bool:
-    truth = _truth_sets(f, frozenset(model.worlds), _cells_of(model), model.val)
-    return truth[f] == frozenset(model.worlds)
-
-
 # ---------------------------------------------------------------------------
 # Counter-model extraction from a stable sequent
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ duplicate-free sets, but insertion order is preserved so that proof search
 is deterministic.  Labels are opaque naturals, printed ``w0, w1, ...``.
 
 The sequent graph has the labels as vertices and one edge ``w -> u`` per
-relational atom.  A sequent is forestlike when that graph is a disjoint
-union of rooted trees; the tree containing a label is its choice tree.
+relational atom; ``components`` gives its weakly connected components, in
+the whole graph or along one agent's atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .formula import Formula, parse, pretty
 
@@ -134,42 +134,29 @@ def graph_of(s: LabelledSequent) -> SequentGraph:
     )
 
 
-def _adjacency(
-    labels: Iterable[Label], rel: Iterable[RelAtom], agent: int | None
-) -> dict[Label, list[Label]]:
+def graph_components(
+    labels: Iterable[Label], rel: Iterable[RelAtom], agent: int | None = None
+) -> tuple[frozenset[Label], ...]:
+    """``components`` of the graph on ``labels`` (ascending, each label of
+    ``rel`` among them) with the atoms ``rel`` as edges."""
     # Edges are read both ways; with ``agent`` given, only its atoms count.
     adjacency: dict[Label, list[Label]] = {w: [] for w in labels}
     for a, src, tgt in rel:
         if agent is None or a == agent:
             adjacency[src].append(tgt)
             adjacency[tgt].append(src)
-    return adjacency
-
-
-def _walk(adjacency: Mapping[Label, list[Label]], start: Label) -> frozenset[Label]:
-    seen = {start}
-    todo = [start]
-    while todo:
-        for u in adjacency[todo.pop()]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return frozenset(seen)
-
-
-def graph_components(
-    labels: Iterable[Label], rel: Iterable[RelAtom], agent: int | None = None
-) -> tuple[frozenset[Label], ...]:
-    """``components`` of the graph on ``labels`` (ascending, each label of
-    ``rel`` among them) with the atoms ``rel`` as edges."""
-    adjacency = _adjacency(labels, rel, agent)
     blocks: list[frozenset[Label]] = []
     placed: set[Label] = set()
     for w in adjacency:  # ascending, as the labels are
         if w not in placed:
-            block = _walk(adjacency, w)
+            block, todo = {w}, [w]
+            while todo:
+                for u in adjacency[todo.pop()]:
+                    if u not in block:
+                        block.add(u)
+                        todo.append(u)
             placed |= block
-            blocks.append(block)
+            blocks.append(frozenset(block))
     return tuple(blocks)
 
 
@@ -179,60 +166,6 @@ def components(
     """The weakly connected components of the sequent graph, sorted by their
     least label.  With ``agent`` given, only that agent's atoms are edges."""
     return graph_components(s.labels(), s.rel, agent)
-
-
-@dataclass(frozen=True)
-class ChoiceTree:
-    root: Label
-    members: frozenset[Label]
-
-
-def graph_trees(
-    labels: Iterable[Label], rel: Sequence[RelAtom]
-) -> tuple[ChoiceTree, ...] | None:
-    """The trees of the graph on ``labels`` with the atoms ``rel`` as edges,
-    sorted by root, or ``None`` when that graph is not a forest."""
-    # Parallel atoms with different agents collapse to one edge of V x V.
-    pairs = {(src, tgt) for _, src, tgt in rel}
-    targets = {tgt for _, tgt in pairs}
-    if len(targets) < len(pairs):
-        return None  # some label has in-degree two
-    # With in-degree <= 1 everywhere, each component is a tree exactly when
-    # it has one in-degree-0 label (its root).
-    trees = []
-    for members in graph_components(labels, rel):
-        roots = members - targets
-        if len(roots) != 1:
-            return None
-        (root,) = roots
-        trees.append(ChoiceTree(root=root, members=members))
-    return tuple(sorted(trees, key=lambda t: t.root))
-
-
-def is_forestlike(s: LabelledSequent) -> bool:
-    """True when the sequent graph is a disjoint union of rooted trees.
-
-    Agent labels on edges are ignored; the check is meant for single-agent
-    sequents, where every edge carries agent 1 anyway.
-    """
-    return graph_trees(s.labels(), s.rel) is not None
-
-
-def choice_trees(s: LabelledSequent) -> tuple[ChoiceTree, ...]:
-    """The trees of a forestlike sequent, sorted by root label."""
-    trees = graph_trees(s.labels(), s.rel)
-    if trees is None:
-        raise ValueError("sequent graph is not forestlike")
-    return trees
-
-
-def tree_of(s: LabelledSequent, label: Label) -> frozenset[Label]:
-    """Members of the weakly connected component containing ``label``,
-    found by walking out from ``label`` alone."""
-    adjacency = _adjacency(s.labels(), s.rel, None)
-    if label not in adjacency:
-        raise ValueError(f"label w{label} does not occur in the sequent")
-    return _walk(adjacency, label)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +181,34 @@ def sequent_to_json(s: LabelledSequent) -> dict:
 
 
 def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
-    rel = [RelAtom(int(a), int(s), int(t)) for a, s, t in obj.get("rel", [])]
+    _exact(obj, dict, "sequent")
+    rel = [
+        RelAtom(
+            _exact(a, int, "agent"), _exact(s, int, "label"), _exact(t, int, "label")
+        )
+        for a, s, t in _exact(obj.get("rel", []), list, "rel")
+    ]
     forms = [
-        LabelledFormula(int(w), parse(text, agents))
-        for w, text in obj.get("forms", [])
+        LabelledFormula(
+            _exact(w, int, "label"), parse(_exact(text, str, "formula"), agents)
+        )
+        for w, text in _exact(obj.get("forms", []), list, "forms")
     ]
     for atom in rel:
         if not 1 <= atom.agent <= agents:
             raise ValueError(f"agent index {atom.agent} out of range 1..{agents}")
     return LabelledSequent(rel, forms)
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an int", str: "a string"}
+
+
+def _exact(value: Any, kind: type, field: str) -> Any:
+    """``value`` when its type is exactly ``kind``, so ``True`` is not an
+    int and ``0.0`` is not a label; otherwise a ``ValueError`` naming
+    ``field``.  The certificate reader uses it too."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{field} should be {_JSON_KINDS[kind]}, not {type(value).__name__}"
+        )
+    return value

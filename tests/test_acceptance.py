@@ -18,12 +18,13 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 
 from stitprover import (
+    AgBox,
     Atom,
     CalculusConfig,
     Derivation,
@@ -33,6 +34,7 @@ from stitprover import (
     Provable,
     ProverConfig,
     RelAtom,
+    RuleTag,
     Valid,
     ValidUpToBound,
     check_derivation,
@@ -366,6 +368,102 @@ def test_criterion_5_certificates_and_mutations(sweep):
     assert sweep.provable_runs > 0
     assert sweep.certificate_failures == []
     assert surviving_mutants == []
+
+
+def _at(node: Derivation, path: tuple) -> Derivation:
+    for i in path:
+        node = node.premises[i]
+    return node
+
+
+def _edit(node: Derivation, path: tuple, change) -> Derivation:
+    """``node`` with ``change`` applied to the node at ``path``."""
+    if not path:
+        return change(node)
+    i = path[0]
+    premise = _edit(node.premises[i], path[1:], change)
+    premises = node.premises[:i] + (premise,) + node.premises[i + 1 :]
+    return replace(node, premises=premises)
+
+
+def _offender_mutants(root: Derivation, rng) -> list[Derivation]:
+    """Seven mutants of ``root``, one of each kind: drop a formula, add an
+    agent-2 formula or atom at an inner node, retag the rule, break a
+    principal entry, drop or duplicate a premise."""
+    paths = list(_all_paths(root))
+    inner = paths[1:] or paths
+    splits = [p for p in paths if _at(root, p).premises] or paths
+
+    def drop_formula(node):
+        dropped = rng.choice(node.conclusion.forms)
+        return replace(node, conclusion=node.conclusion.without_form(*dropped))
+
+    def add_formula(node):
+        w = rng.choice(node.conclusion.labels())
+        bad = LabelledFormula(w, AgBox(2, Atom("p")))
+        return replace(node, conclusion=node.conclusion.extended(forms=[bad]))
+
+    def add_atom(node):
+        w = rng.choice(node.conclusion.labels())
+        bad = RelAtom(2, w, w)
+        return replace(node, conclusion=node.conclusion.extended(rel=[bad]))
+
+    def retag(node):
+        others = [t for t in RuleTag if t is not node.rule]
+        return replace(node, rule=rng.choice(others))
+
+    def break_principal(node):
+        principal = dict(node.principal)
+        key = rng.choice(sorted(principal))
+        if type(principal[key]) is int:
+            principal[key] += 1
+        else:
+            del principal[key]
+        return replace(node, principal=principal)
+
+    def drop_premise(node):
+        i = rng.randrange(len(node.premises)) if node.premises else 0
+        return replace(node, premises=node.premises[:i] + node.premises[i + 1 :])
+
+    def duplicate_premise(node):
+        extra = (rng.choice(node.premises),) if node.premises else ()
+        return replace(node, premises=node.premises + extra)
+
+    return [
+        _edit(root, rng.choice(where), change)
+        for where, change in (
+            (paths, drop_formula),
+            (inner, add_formula),
+            (inner, add_atom),
+            (paths, retag),
+            (paths, break_principal),
+            (splits, drop_premise),
+            (splits, duplicate_premise),
+        )
+    ]
+
+
+def test_the_checkers_first_offenders_are_unchanged(sweep):
+    """Each sampled certificate and seven mutants of it, checked in both
+    modes at m = 1 and m = 2: one ``[ok, path]`` line per check, folded into
+    one SHA-256.  Error texts are left out on purpose, so that rewording a
+    message does not move the digest, while a change to which inference a
+    checker blames first does."""
+    digest = hashlib.sha256()
+    checks = 0
+    for k, (n, derivation) in enumerate(sweep.derivation_sample):
+        rng = random.Random(k)
+        for tree in [derivation, *_offender_mutants(derivation, rng)]:
+            for mode in (Mode.REFINED, Mode.G3):
+                for m in (1, 2):
+                    result = check_derivation(CalculusConfig(m, n, mode), tree)
+                    line = json.dumps([result.ok, result.path]) + "\n"
+                    digest.update(line.encode())
+                    checks += 1
+    assert checks == 8 * 4 * len(sweep.derivation_sample)
+    assert digest.hexdigest() == (
+        "d671b6af06d75833097445cd1c41ede9240b9f9141c846d1b95cfdf0f91a295b"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the proof checker: rule shapes, modes, fixtures, soundness."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from raw_models import enumerate_models
@@ -593,6 +594,34 @@ def test_size_counts_a_chain_deeper_than_the_recursion_limit():
     for _ in range(4999):
         root = Derivation(s, RuleTag.OR, {"label": 0, "formula": Or(P, NP)}, (root,))
     assert root.size() == 5000
+
+
+def test_an_agent_beyond_m_at_an_inner_node_fails_at_its_parent():
+    """Well-formedness is checked on the root only: an inner conclusion
+    must equal its parent's plus the rule's additions, so an agent-2
+    formula there fails the parent's premise comparison first."""
+    root = prove(ProverConfig(choices=0), parse("box (p | ~p)")).derivation
+    assert [root.rule, root.premises[0].rule] == [RuleTag.BOX, RuleTag.OR]
+    leaf_node = root.premises[0].premises[0]
+    bad = leaf_node.conclusion.extended(forms=[lf(1, AgBox(2, P))])
+    mutant = replace(
+        root,
+        premises=(
+            replace(root.premises[0], premises=(replace(leaf_node, conclusion=bad),)),
+        ),
+    )
+    result = check_derivation(REFINED_1, mutant)
+    assert (result.ok, result.path) == (False, "root.premises[0]")
+
+
+def test_an_agent_beyond_m_at_the_root_fails_at_the_root():
+    root = prove(ProverConfig(choices=0), parse("box (p | ~p)")).derivation
+    bad = root.conclusion.extended(forms=[lf(0, AgBox(2, P))])
+    for mode in Mode:
+        cfg = CalculusConfig(agents=1, choices=0, mode=mode)
+        result = check_derivation(cfg, replace(root, conclusion=bad))
+        assert (result.ok, result.path) == (False, "root")
+        assert "uses agent 2" in result.error
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,47 @@ def test_check_rejects_a_certificate_too_deep_to_read(tmp_path, capsys):
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+def _premise_five(blob):
+    blob["derivation"]["premises"] = [5]
+
+
+def _label_text(blob):
+    blob["derivation"]["premises"][0]["principal"]["label"] = "0"
+
+
+def _label_true(blob):
+    blob["derivation"]["premises"][0]["principal"]["label"] = True
+
+
+def _sequent_label_float(blob):
+    blob["derivation"]["sequent"]["forms"][0][0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_premise_five, "premise"),
+        (_label_text, "label"),
+        (_label_true, "label"),
+        (_sequent_label_float, "label"),
+    ],
+)
+def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, capsys):
+    """A premise that is not an object, and a label that is not exactly an
+    int, are malformed: exit 2 with one line that names the field, not a
+    traceback, a coerced label or a valid certificate."""
+    cert = tmp_path / "proof.json"
+    assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    edit(blob)
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["check", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: malformed certificate:")
+    assert field in err
+
+
 def _deep_certificate(monkeypatch):
     from stitprover import cli
 

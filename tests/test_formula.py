@@ -110,6 +110,27 @@ def test_subformulae_of_a_literal_is_itself():
     assert subformulae(NegAtom("q")) == (NegAtom("q"),)
 
 
+def test_subformulae_are_in_pre_order():
+    f = And(Or(Atom("p"), Atom("q")), Box(NegAtom("r")))
+    assert subformulae(f) == (
+        f, f.left, Atom("p"), Atom("q"), f.right, NegAtom("r")
+    )
+
+
+def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
+    """A 5,000-deep chain of boxes, built without the parser (whose nesting
+    limit refuses it), is walked on an explicit stack, in pre-order."""
+    f = Atom("p")
+    for i in range(5000):
+        f = AgBox(2, f) if i % 2 else Box(f)
+    subs = subformulae(f)
+    assert len(subs) == 5001
+    assert subs[0] is f and subs[1] is f.body and subs[-1] == Atom("p")
+    assert atoms(f) == frozenset({"p"})
+    assert agents_of(f) == frozenset({2})
+    assert connective_count(f) == 5000
+
+
 def test_atoms_and_agents():
     f = And(AgBox(2, Atom("p")), Dia(NegAtom("q")))
     assert atoms(f) == frozenset({"p", "q"})

@@ -11,6 +11,7 @@ import sys
 import time
 
 import pytest
+from forests import choice_trees, tree_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +50,6 @@ from stitprover import (
 )
 from stitprover import prover
 from stitprover.formula import MAX_NESTING
-from stitprover.sequent import choice_trees, tree_of
 
 P, Q = Atom("p"), Atom("q")
 NP = NegAtom("p")

@@ -36,7 +36,6 @@ from stitprover.semantics import (
     _bits,
     _reduced_models,
     default_world_bound,
-    globally_true,
 )
 
 P = Atom("p")
@@ -138,12 +137,6 @@ def test_evaluation_on_a_two_agent_line():
     assert not evaluate(m, 2, agdia_p) and not evaluate(m, 3, agdia_p)
     assert evaluate(m, 2, parse("<2> p", agents=2))
     assert not evaluate(m, 0, parse("<2> p", agents=2))
-
-
-def test_globally_true_quantifies_over_all_worlds():
-    m = split_model()
-    assert globally_true(m, parse("p | ~p"))
-    assert not globally_true(m, P)
 
 
 def test_missing_atoms_evaluate_false():
@@ -295,7 +288,7 @@ def smallest_raw_counter_model(goal, agents, choices, max_worlds):
     """The fewest worlds of a raw model falsifying ``goal``, or ``None``."""
     names = sorted(atoms(goal))
     for model in enumerate_models(names, agents, choices, max_worlds):
-        if not globally_true(model, goal):
+        if not all(evaluate(model, w, goal) for w in model.worlds):
             return len(model.worlds)
     return None
 

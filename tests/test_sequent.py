@@ -1,6 +1,8 @@
-"""Tests for labelled sequents, their graphs, and choice trees."""
+"""Tests for labelled sequents, their graphs, and the choice-tree reference
+in ``tests/forests.py``."""
 
 import pytest
+from forests import choice_trees, is_forestlike, tree_of
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -11,13 +13,10 @@ from stitprover import (
     LabelledSequent,
     NegAtom,
     RelAtom,
-    choice_trees,
     graph_of,
-    is_forestlike,
     sequent_from_json,
     sequent_to_json,
 )
-from stitprover.sequent import tree_of
 
 W, U, V, Z = 0, 1, 2, 3
 P = Atom("p")
