@@ -17,6 +17,7 @@ from .formula import Formula
 from .prover import Provable, ProveResult, ProverConfig, prove
 from .semantics import (
     EnumerationResult,
+    Model,
     Valid,
     check_frame,
     decide_by_enumeration,
@@ -57,7 +58,9 @@ class Run:
     """One goal decided at choice bound ``choices`` by both engines.
 
     ``evidence_error`` says why the search's certificate or counter-model
-    was rejected, and is ``None`` when it checks out.
+    was rejected, and is ``None`` when it checks out.  ``model`` is the
+    counter-model extracted from an ``Unprovable`` result, and ``None``
+    when the goal was proved or no model could be extracted.
     """
 
     goal: Formula
@@ -65,6 +68,7 @@ class Run:
     result: ProveResult
     verdict: EnumerationResult
     evidence_error: str | None
+    model: Model | None = None
 
     @property
     def agrees(self) -> bool:
@@ -89,26 +93,30 @@ def runs(pairs: Iterable[tuple[Formula, int]]) -> Iterator[Run]:
     for goal, n in pairs:
         result = prove(ProverConfig(choices=n), goal)
         verdict = decide_by_enumeration(goal, choices=n)
-        yield Run(goal, n, result, verdict, _evidence_error(goal, n, result))
+        yield Run(goal, n, result, verdict, *_evidence(goal, n, result))
 
 
-def _evidence_error(goal: Formula, n: int, result: ProveResult) -> str | None:
+def _evidence(
+    goal: Formula, n: int, result: ProveResult
+) -> tuple[str | None, Model | None]:
+    """Why the result's evidence is rejected, or ``None``; and the
+    counter-model extracted from it, if any."""
     if isinstance(result, Provable):
         root = result.derivation
         if root.conclusion != LabelledSequent(forms=[LabelledFormula(0, goal)]):
-            return f"certificate proves another sequent: {root.conclusion.show()}"
+            return f"certificate proves another sequent: {root.conclusion.show()}", None
         cfg = CalculusConfig(agents=1, choices=n, mode=Mode.REFINED)
         outcome = check_derivation(cfg, root)
         if not outcome.ok:
-            return f"certificate rejected at {outcome.path}: {outcome.error}"
-        return None
+            return f"certificate rejected at {outcome.path}: {outcome.error}", None
+        return None, None
     try:
         model, interp = extract_countermodel(result.stable, 0, n)
     except ValueError as err:
-        return f"no counter-model: {err}"
+        return f"no counter-model: {err}", None
     frame = check_frame(model, agents=1, choices=n)
     if not frame.ok:
-        return f"counter-model breaks the frame: {'; '.join(frame.violations)}"
+        return f"counter-model breaks the frame: {'; '.join(frame.violations)}", model
     if evaluate(model, interp[0], goal):
-        return "counter-model satisfies the goal at w0"
-    return None
+        return "counter-model satisfies the goal at w0", model
+    return None, model

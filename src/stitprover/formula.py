@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, TypeVar, Union
 
 # ---------------------------------------------------------------------------
 # AST
@@ -87,6 +87,7 @@ class AgDia:
 
 
 Formula = Union[Atom, NegAtom, And, Or, Box, Dia, AgBox, AgDia]
+_T = TypeVar("_T")
 
 # Reserved atom backing the `true` / `false` surface constants.  The name is
 # not a legal identifier, so user input can never collide with it.
@@ -107,24 +108,20 @@ _FALSE_FORMS = frozenset({FALSE, And(NegAtom(RESERVED_ATOM), Atom(RESERVED_ATOM)
 
 def negate(f: Formula) -> Formula:
     """Negation by duality: an involution that keeps formulas in NNF."""
-    match f:
-        case Atom(name):
-            return NegAtom(name)
-        case NegAtom(name):
-            return Atom(name)
-        case And(left, right):
-            return Or(negate(left), negate(right))
-        case Or(left, right):
-            return And(negate(left), negate(right))
-        case Box(body):
-            return Dia(negate(body))
-        case Dia(body):
-            return Box(negate(body))
-        case AgBox(agent, body):
-            return AgDia(agent, negate(body))
-        case AgDia(agent, body):
-            return AgBox(agent, negate(body))
-    raise TypeError(f"not a formula: {f!r}")
+    return _fold(f, lambda g: _DUAL[type(g)](g.name), _negate_connective)
+
+
+_DUAL = {
+    Atom: NegAtom, NegAtom: Atom, And: Or, Or: And,
+    Box: Dia, Dia: Box, AgBox: AgDia, AgDia: AgBox,
+}
+
+
+def _negate_connective(g: Formula, operands: list[Formula]) -> Formula:
+    dual = _DUAL[type(g)]
+    if dual is AgBox or dual is AgDia:
+        return dual(g.agent, operands[0])
+    return dual(*operands)
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -140,42 +137,86 @@ def subformulae(f: Formula) -> tuple[Formula, ...]:
     return tuple(_walk(f))
 
 
-def _walk(f: Formula) -> Iterator[Formula]:
+_MODAL = (Box, Dia, AgBox, AgDia)
+
+
+def _walk(f: Formula) -> list[Formula]:
     """The nodes of ``f`` in pre-order, left before right, on an explicit
     stack, so the depth of ``f`` is limited by memory only."""
-    todo = [f]
+    nodes, todo = [], [f]
     while todo:
         g = todo.pop()
-        yield g
-        match g:
-            case And(left, right) | Or(left, right):
-                todo.append(right)
-                todo.append(left)
-            case Box(body) | Dia(body) | AgBox(_, body) | AgDia(_, body):
-                todo.append(body)
+        nodes.append(g)
+        cls = type(g)
+        if cls is And or cls is Or:
+            todo += (g.right, g.left)
+        elif cls in _MODAL:
+            todo.append(g.body)
+    return nodes
 
 
-def atoms(f: Formula) -> frozenset[str]:
+def _distinct(formulas: tuple[Formula, ...]) -> list[Formula]:
+    """The node objects of ``formulas``, each once however often it is
+    shared, on an explicit stack."""
+    nodes, seen, todo = [], set(), list(formulas)
+    while todo:
+        g = todo.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            nodes.append(g)
+            cls = type(g)
+            if cls is And or cls is Or:
+                todo += (g.left, g.right)
+            elif cls in _MODAL:
+                todo.append(g.body)
+    return nodes
+
+
+def _fold(
+    f: Formula,
+    leaf: Callable[[Formula], _T],
+    connective: Callable[[Formula, list[_T]], _T],
+) -> _T:
+    """``f`` folded bottom-up on an explicit stack, so its depth is limited
+    by memory only: ``leaf(g)`` for a literal ``g``, ``connective(g,
+    values)`` for any other node given its operands' values, left first."""
+    values: list[_T] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:  # a connective whose operands are folded
+            g, arity = g
+            operands = values[-arity:]
+            del values[-arity:]
+            values.append(connective(g, operands))
+            continue
+        cls = type(g)
+        if cls is Atom or cls is NegAtom:
+            values.append(leaf(g))
+        elif cls is And or cls is Or:
+            todo += ((g, 2), g.right, g.left)
+        elif cls in _MODAL:
+            todo += ((g, 1), g.body)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return values[0]
+
+
+def atoms(*formulas: Formula) -> frozenset[str]:
+    """The atom names of ``formulas``, walking each shared node once."""
     return frozenset(
-        g.name for g in _walk(f) if isinstance(g, (Atom, NegAtom))
+        g.name for g in _distinct(formulas) if type(g) is Atom or type(g) is NegAtom
     )
 
 
 def agents_of(f: Formula) -> frozenset[int]:
     return frozenset(
-        g.agent for g in _walk(f) if isinstance(g, (AgBox, AgDia))
+        g.agent for g in _distinct((f,)) if type(g) is AgBox or type(g) is AgDia
     )
 
 
 def depth(f: Formula) -> int:
-    match f:
-        case Atom(_) | NegAtom(_):
-            return 0
-        case And(left, right) | Or(left, right):
-            return 1 + max(depth(left), depth(right))
-        case Box(body) | Dia(body) | AgBox(_, body) | AgDia(_, body):
-            return 1 + depth(body)
-    raise TypeError(f"not a formula: {f!r}")
+    return _fold(f, lambda g: 0, lambda g, depths: 1 + max(depths))
 
 
 def connective_count(f: Formula) -> int:

@@ -28,7 +28,9 @@ induction on the formula: where nothing fires, ``f & g`` against
 against ``dia ~f`` leaves ``f`` at some ``u`` and ``~f`` at every label;
 ``[1] f`` against ``<1> ~f`` does the same within a choice tree.  So a
 compound pair implies an atomic clash, which instruction 1 would have
-closed.  The search asserts only that clause at the stable leaf it returns.
+closed.  The search asserts only that clause at the stable leaf it returns,
+and marks the sequent it returns as stable at its choice bound, so that
+``extract_countermodel`` does not ask ``is_stable`` again.
 
 Each of instructions 3-8 is blocked once it has done its work (the
 disjunct, conjunct or body is present, the box is realized, the trees are
@@ -175,13 +177,10 @@ _AGENT = 1  # the search handles exactly one agent
 # Formula kinds.  Compound kinds are numbered in the priority order of the
 # instructions acting on them; literals, read by instruction 1, come first.
 _LIT, _OR, _AND, _AGDIA, _DIA, _AGBOX, _BOX, _NONE = range(8)
-_KIND = {
-    Atom: _LIT, NegAtom: _LIT, Or: _OR, And: _AND,
-    AgDia: _AGDIA, Dia: _DIA, AgBox: _AGBOX, Box: _BOX,
-}
-_DUAL = {
-    Atom: NegAtom, NegAtom: Atom, And: Or, Or: And,
-    Box: Dia, Dia: Box, AgBox: AgDia, AgDia: AgBox,
+# Each formula class's kind and the class of its complement.
+_SHAPE = {
+    Atom: (_LIT, NegAtom), NegAtom: (_LIT, Atom), Or: (_OR, And), And: (_AND, Or),
+    AgDia: (_AGDIA, AgBox), Dia: (_DIA, Box), AgBox: (_AGBOX, AgDia), Box: (_BOX, Dia),
 }
 
 # A premise as what it adds to its conclusion: relational atoms of agent 1
@@ -243,38 +242,38 @@ class _State:
         the one interned second finds the other by that key, since the
         complements of its operands are linked by then, and links both."""
         ids: dict[int, int] = {}  # id() of a node met -> its formula id
-        keys, comp = self._keys, self.comp
+        keys, form, comp = self._keys, self.form, self.comp
         for f in formulas:
             walk, todo = [], [f]
             while todo:
                 g = todo.pop()
                 if id(g) not in ids:
                     walk.append(g)
-                    kind = _KIND[type(g)]
-                    if kind in (_OR, _AND):
+                    cls = type(g)
+                    if cls is And or cls is Or:
                         todo += (g.left, g.right)
-                    elif kind != _LIT:
+                    elif cls is not Atom and cls is not NegAtom:
                         todo.append(g.body)
             for g in reversed(walk):  # operands before the formula
                 cls = type(g)
-                kind = _KIND[cls]
+                kind, dual = _SHAPE[cls]
                 if kind == _LIT:
                     left = right = -1
-                    key, dual = (cls, g.name), (_DUAL[cls], g.name)
-                elif kind in (_OR, _AND):
+                    key, dual_key = (cls, g.name), (dual, g.name)
+                elif kind <= _AND:
                     left, right = ids[id(g.left)], ids[id(g.right)]
-                    key, dual = (cls, left, right), (_DUAL[cls], comp[left], comp[right])
+                    key, dual_key = (cls, left, right), (dual, comp[left], comp[right])
                 else:
                     left, right = ids[id(g.body)], -1
-                    agent = g.agent if kind in (_AGDIA, _AGBOX) else 0
-                    key, dual = (cls, agent, left), (_DUAL[cls], agent, comp[left])
+                    agent = g.agent if kind == _AGDIA or kind == _AGBOX else 0
+                    key, dual_key = (cls, agent, left), (dual, agent, comp[left])
                 fid = keys.get(key)
                 if fid is None:
-                    fid = keys[key] = len(self.form)
-                    other = keys.get(dual, -1)
+                    fid = keys[key] = len(form)
+                    other = keys.get(dual_key, -1)
                     if other >= 0:
                         comp[other] = fid
-                    self.form.append(g)
+                    form.append(g)
                     self.kind.append(kind)
                     self.left.append(left)
                     self.right.append(right)
@@ -454,7 +453,9 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
                     f"complementary pair at w{pair} of the sequent "
                     f"no instruction applies to: {state.sequent().show()}"
                 )
-            return Unprovable(state.sequent(), stats)
+            stable = state.sequent()
+            stable._stable_at = cfg.choices  # what this leaf just found
+            return Unprovable(stable, stats)
 
         rule, principal, premises = step
         if rule is RuleTag.APC:

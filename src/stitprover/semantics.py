@@ -28,6 +28,7 @@ search limit.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -46,7 +47,7 @@ from .formula import (
     pretty,
     subformulae,
 )
-from .sequent import LabelledSequent, components
+from .sequent import LabelledSequent, _exact, components
 
 # ---------------------------------------------------------------------------
 # Models
@@ -217,25 +218,31 @@ def extract_countermodel(
     the (identity) interpretation of labels as worlds.
 
     Rejects sequents that are not stable for the given choice bound: the
-    construction is only meaningful on stable sequents.
+    construction is only meaningful on stable sequents.  The stable sequent
+    of a ``prove`` run at bound ``choices`` carries that search's finding,
+    so only other sequents and bounds are checked with ``is_stable``.
     """
-    from .prover import is_stable
+    if stable._stable_at != choices:
+        from .prover import is_stable
 
-    if not is_stable(stable, choices):
-        raise ValueError("counter-model extraction needs a stable sequent")
+        if not is_stable(stable, choices):
+            raise ValueError("counter-model extraction needs a stable sequent")
     worlds = stable.labels()
     if goal_label not in worlds:
         raise ValueError(f"goal label w{goal_label} does not occur in the sequent")
-    blocks = components(stable, 1)
     pairs = frozenset(
-        (u, v) for block in blocks for u in block for v in block
+        (u, v) for block in components(stable, 1) for u in block for v in block
     )
-    names = sorted({name for _, f in stable.forms for name in atoms(f)})
-    val = {
-        name: frozenset(w for w in worlds if stable.has_form(w, NegAtom(name)))
-        for name in names
+    # The formulas of a search's sequent share their nodes with its goal,
+    # and `atoms` walks each shared node once.
+    true_at: dict[str, list[int]] = {
+        name: [] for name in sorted(atoms(*(f for _, f in stable.forms)))
     }
-    model = Model(worlds=tuple(worlds), rel={1: pairs}, val=val)
+    for w, f in stable.forms:
+        if type(f) is NegAtom:
+            true_at[f.name].append(w)
+    val = {name: frozenset(labels) for name, labels in true_at.items()}
+    model = Model(worlds=worlds, rel={1: pairs}, val=val)
     return model, {w: w for w in worlds}
 
 
@@ -597,14 +604,39 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(obj: dict) -> Model:
-    return Model(
-        worlds=tuple(int(w) for w in obj["worlds"]),
-        rel={
-            int(agent): frozenset((int(u), int(v)) for u, v in pairs)
-            for agent, pairs in obj["rel"].items()
-        },
-        val={
-            str(name): frozenset(int(w) for w in trueset)
-            for name, trueset in obj.get("val", {}).items()
-        },
-    )
+    """The model ``model_to_json`` wrote, read strictly: the keys are exactly
+    ``worlds``, ``rel`` and ``val``; worlds are ``int``s (not ``bool``s),
+    atom names ``str``s, and agent keys decimal strings.  A refusal is a
+    ``ValueError`` that names the field."""
+    _exact(obj, dict, "model")
+    if obj.keys() != {"worlds", "rel", "val"}:
+        shown = ", ".join(sorted(map(repr, obj)))
+        raise ValueError(f"model keys should be 'rel', 'val', 'worlds', not {shown}")
+    rel = {}
+    for key, pairs in _exact(obj["rel"], dict, "rel").items():
+        if type(key) is not str or not _AGENT_KEY.fullmatch(key):
+            raise ValueError(f"rel key should be an agent as a decimal string, not {key!r}")
+        rel[int(key)] = frozenset(
+            _pair(pair, f"pair of agent {key}")
+            for pair in _exact(pairs, list, f"rel of agent {key}")
+        )
+    val = {}
+    for name, trueset in _exact(obj["val"], dict, "val").items():
+        _exact(name, str, "atom name")
+        val[name] = frozenset(_worlds(trueset, f"val of {name}"))
+    return Model(worlds=_worlds(obj["worlds"], "worlds"), rel=rel, val=val)
+
+
+# The agent keys `model_to_json` writes: `str` of an `int`.
+_AGENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _worlds(value: object, field: str) -> tuple[int, ...]:
+    return tuple(_exact(w, int, f"world in {field}") for w in _exact(value, list, field))
+
+
+def _pair(value: object, field: str) -> tuple[int, int]:
+    worlds = _worlds(value, field)
+    if len(worlds) != 2:
+        raise ValueError(f"{field} should hold two worlds, not {len(worlds)}")
+    return worlds

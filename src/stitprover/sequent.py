@@ -32,9 +32,15 @@ class LabelledFormula(NamedTuple):
 
 
 class LabelledSequent:
-    """Immutable ``R, Γ`` with set equality and ordered iteration."""
+    """Immutable ``R, Γ`` with set equality and ordered iteration.
 
-    __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_hash")
+    ``_stable_at`` is ``None`` except on the stable sequent a proof search
+    returns, where it is the choice bound that search found it stable at;
+    ``extract_countermodel`` trusts it for that bound alone.  No other
+    constructor sets it, so a copy or an extension carries no mark.
+    """
+
+    __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_hash", "_stable_at")
 
     def __init__(
         self,
@@ -61,6 +67,7 @@ class LabelledSequent:
         self._rel_set = frozenset(rel)
         self._forms_set = frozenset(forms)
         self._hash = hash((self._rel_set, self._forms_set))
+        self._stable_at: int | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelledSequent):
@@ -206,7 +213,7 @@ _JSON_KINDS = {dict: "an object", list: "an array", int: "an int", str: "a strin
 def _exact(value: Any, kind: type, field: str) -> Any:
     """``value`` when its type is exactly ``kind``, so ``True`` is not an
     int and ``0.0`` is not a label; otherwise a ``ValueError`` naming
-    ``field``.  The certificate reader uses it too."""
+    ``field``.  The certificate and model readers use it too."""
     if type(value) is not kind:
         raise ValueError(
             f"{field} should be {_JSON_KINDS[kind]}, not {type(value).__name__}"

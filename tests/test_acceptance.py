@@ -9,7 +9,8 @@ counter-model, and records every monitored size-bound excess.  It also
 folds every run's verdict, statistics and evidence into one SHA-256, so a
 refactor that changes any certificate or stable sequent shows up.  A second
 digest does the same for the benchmark's ``ladder`` goals, whose choice-rule
-splits are wider than any in the sweep.
+splits are wider than any in the sweep, and a third folds the counter-model
+of every refuted sweep run, which the first does not read.
 """
 
 import hashlib
@@ -35,13 +36,17 @@ from stitprover import (
     ProverConfig,
     RelAtom,
     RuleTag,
+    Unprovable,
     Valid,
     ValidUpToBound,
     check_derivation,
     decide_by_enumeration,
     derivation_to_json,
     enumerate_formulas,
+    extract_countermodel,
     graph_of,
+    model_from_json,
+    model_to_json,
     parse,
     pretty,
     prove,
@@ -157,7 +162,9 @@ class SweepReport:
     violation_runs: list = field(default_factory=list)
     derivation_sample: list = field(default_factory=list)
     valid_runs: list = field(default_factory=list)
+    unmarked_model_changes: list = field(default_factory=list)
     digest: str = ""
+    model_digest: str = ""
     elapsed: float = 0.0
 
 
@@ -187,6 +194,27 @@ def _behaviour(result, choices: int) -> bytes:
     return (json.dumps(record, sort_keys=True) + "\n").encode()
 
 
+def _model_line(model) -> bytes:
+    """One sorted-key JSON line: the counter-model, or null for none."""
+    shown = None if model is None else model_to_json(model)
+    return (json.dumps(shown, sort_keys=True) + "\n").encode()
+
+
+def _unmarked_model_change(run) -> str | None:
+    """Extraction from a copy of the run's stable sequent, which carries no
+    mark of the search and so takes the full ``is_stable`` guard: why it
+    differs from the run's own model, or ``None`` when it gives the same."""
+    stable = run.result.stable
+    copy = LabelledSequent(stable.rel, stable.forms)
+    try:
+        model, _ = extract_countermodel(copy, 0, run.choices)
+    except ValueError as err:
+        return f"the unmarked copy is refused: {err}"
+    if model != run.model:
+        return "the unmarked copy gives another model"
+    return None
+
+
 @pytest.fixture(scope="module")
 def sweep():
     start = time.perf_counter()
@@ -197,10 +225,15 @@ def sweep():
     rng = random.Random(7)
     goals.extend(random_formula(rng, 4, ("p", "q")) for _ in range(500))
 
-    digest = hashlib.sha256()
+    digest, model_digest = hashlib.sha256(), hashlib.sha256()
     for run in runs((goal, n) for goal in goals for n in BOUNDS):
         report.runs += 1
         digest.update(_behaviour(run.result, run.choices))
+        if isinstance(run.result, Unprovable):
+            model_digest.update(_model_line(run.model))
+            change = _unmarked_model_change(run)
+            if change is not None:
+                report.unmarked_model_changes.append(_where(run, change))
         provable = isinstance(run.result, Provable)
         if not run.agrees:
             report.disagreements.append(_where(run, run.problems[0]))
@@ -222,6 +255,7 @@ def sweep():
             report.unprovable_runs += 1
 
     report.digest = digest.hexdigest()
+    report.model_digest = model_digest.hexdigest()
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -273,6 +307,22 @@ def test_sweep_behaviour_is_unchanged(sweep):
     )
 
 
+def test_sweep_counter_models_are_unchanged(sweep):
+    """Every counter-model of the sweep's refuted runs, as sorted-key
+    ``model_to_json``, byte for byte; the digest above reads no model."""
+    assert sweep.model_digest == (
+        "a3ed7d2c8f11fb9540bdad4175f37bc3dae53f1077db913ff3a959eb701a4d4b"
+    )
+
+
+def test_unmarked_stable_sequents_give_the_same_counter_models(sweep):
+    """The search's stable sequent skips the stability guard at its own
+    bound; a mark-free copy of it takes the guard, on every refuted run,
+    and must be accepted and give the same model."""
+    assert sweep.unprovable_runs == 65834
+    assert sweep.unmarked_model_changes == []
+
+
 def _perfbench_workloads():
     """``perfbench/workloads.py``, loaded by its path: it imports nothing
     of ``stitprover``, and ``perfbench`` is not a package."""
@@ -298,6 +348,21 @@ def test_ladder_behaviour_is_unchanged():
     assert digest.hexdigest() == (
         "c2547362c228f44bf3ccd2df20e03c41c3668f2011dccbd05b26bed4d3348c0b"
     )
+
+
+def test_corpus_counter_models_round_trip_through_the_strict_reader():
+    """Every counter-model of the benchmark's ``corpus`` goals at seed 1
+    reads back from its JSON text unchanged."""
+    refuted = 0
+    for goal in _perfbench_workloads().corpus(1):
+        result = prove(ProverConfig(choices=goal.choices), parse(goal.text))
+        if isinstance(result, Unprovable):
+            refuted += 1
+            model, _ = extract_countermodel(result.stable, 0, goal.choices)
+            obj = json.loads(json.dumps(model_to_json(model)))
+            again = model_from_json(obj)
+            assert again == model and model_to_json(again) == obj, goal.text
+    assert refuted > 5000
 
 
 # ---------------------------------------------------------------------------

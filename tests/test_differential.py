@@ -1,5 +1,6 @@
 """Tests for the shared prove-vs-oracle loop and the scripts that fold it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -151,6 +152,24 @@ def test_differential_script_runs_a_small_sweep():
     assert "104 runs over 52 goals" in proc.stdout
     assert "disagreements: 0" in proc.stdout
     assert "evidence failures: 0" in proc.stdout
+
+
+def test_bench_pairs_script_writes_both_sides(tmp_path):
+    """One short pair on ``axioms``, this checkout against itself."""
+    out = tmp_path / "BENCH_0.json"
+    proc = run_script("bench_pairs.py", "--parent", str(ROOT), "--change",
+                      str(ROOT), "--pr", "0", "--workload", "axioms",
+                      "--pairs", "1", "--seconds", "0.05", "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(out.read_text())
+    assert report["cores"] >= 1 and report["python"]
+    axioms = report["workloads"]["axioms"]
+    assert [r["side"] for r in axioms["runs"]] == ["parent", "change"]
+    assert axioms["failed_operations"] == 0
+    runs = axioms["summary"]["runs_per_s"]
+    assert runs["better"] == "higher" and 0 <= runs["change_better_pairs"] <= 1
+    assert len(runs["parent"]["runs"]) == len(runs["change"]["runs"]) == 1
+    assert axioms["rss_per_operation"]["parent"]["peak_rss_mb"] > 0
 
 
 def test_axiom_script_starts():

@@ -119,7 +119,9 @@ def test_subformulae_are_in_pre_order():
 
 def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     """A 5,000-deep chain of boxes, built without the parser (whose nesting
-    limit refuses it), is walked on an explicit stack, in pre-order."""
+    limit refuses it), is walked on an explicit stack, in pre-order, and
+    measured and negated the same way.  The negation is compared level by
+    level, since ``==`` on the chain would recurse."""
     f = Atom("p")
     for i in range(5000):
         f = AgBox(2, f) if i % 2 else Box(f)
@@ -129,6 +131,12 @@ def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     assert atoms(f) == frozenset({"p"})
     assert agents_of(f) == frozenset({2})
     assert connective_count(f) == 5000
+    assert depth(f) == 5000
+    dual = {Box: Dia, AgBox: AgDia, Atom: NegAtom}
+    negated = subformulae(negate(f))
+    assert [type(g) for g in negated] == [dual[type(g)] for g in subs]
+    assert {g.agent for g in negated if type(g) is AgDia} == {2}
+    assert negated[-1] == NegAtom("p")
 
 
 def test_atoms_and_agents():
@@ -136,6 +144,16 @@ def test_atoms_and_agents():
     assert atoms(f) == frozenset({"p", "q"})
     assert agents_of(f) == frozenset({2})
     assert agents_of(Box(Atom("p"))) == frozenset()
+    assert atoms(f, Atom("r"), f.left) == frozenset({"p", "q", "r"})
+    assert atoms() == frozenset()
+
+
+def test_negate_and_depth_refuse_a_non_formula():
+    for bad in (42, Box("p"), And(Atom("p"), None)):
+        with pytest.raises(TypeError, match="not a formula"):
+            negate(bad)
+        with pytest.raises(TypeError, match="not a formula"):
+            depth(bad)
 
 
 def test_depth_and_connective_count():

@@ -187,6 +187,44 @@ def test_extraction_rejects_unknown_goal_labels():
         extract_countermodel(stable, 3)
 
 
+def test_extraction_asks_is_stable_unless_the_search_found_that_bound(monkeypatch):
+    """The search's stable sequent is trusted at its own bound only; a copy
+    of it, or another bound, takes the full guard."""
+    from stitprover import prover
+
+    asked = []
+    honest = prover.is_stable
+    monkeypatch.setattr(
+        prover, "is_stable", lambda s, n: asked.append(n) or honest(s, n)
+    )
+    stable = prove(ProverConfig(choices=2), parse("dia [1] p & ~p")).stable
+    trusted, _ = extract_countermodel(stable, 0, choices=2)
+    assert asked == []
+    copy = LabelledSequent(stable.rel, stable.forms)
+    assert copy == stable
+    assert extract_countermodel(copy, 0, choices=2)[0] == trusted
+    assert asked == [2]
+    assert extract_countermodel(stable, 0, choices=3)[0] == trusted
+    assert asked == [2, 3]
+
+
+def test_a_stable_sequent_is_not_trusted_at_another_bound():
+    """``box p`` at n = 0 ends in two trees, w0 and w1; at n = 1 the choice
+    rule fires on them, so the sequent is not stable there."""
+    stable = prove(ProverConfig(choices=0), parse("box p")).stable
+    assert stable.labels() == (0, 1) and stable.rel == ()
+    extract_countermodel(stable, 0, choices=0)
+    with pytest.raises(ValueError, match="needs a stable sequent"):
+        extract_countermodel(stable, 0, choices=1)
+
+
+def test_a_hand_made_unstable_sequent_is_refused():
+    unstable = LabelledSequent(forms=[LabelledFormula(0, parse("[1] p"))])
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="needs a stable sequent"):
+            extract_countermodel(unstable, 0, choices=n)
+
+
 # ---------------------------------------------------------------------------
 # The enumeration oracle
 # ---------------------------------------------------------------------------
@@ -431,3 +469,38 @@ def test_model_json_round_trip():
     )
     again = model_from_json(model_to_json(m))
     assert again == m
+
+
+def model_json(**changes):
+    obj = {"worlds": [0, 1], "rel": {"1": [[0, 0], [1, 1]]}, "val": {"p": [1]}}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        (model_json(worlds=["0"]), "world in worlds should be an int, not str"),
+        (model_json(worlds=[True]), "world in worlds should be an int, not bool"),
+        (model_json(worlds=[1.9]), "world in worlds should be an int, not float"),
+        (model_json(worlds={"0": 0}), "worlds should be an array, not dict"),
+        (model_json(val={1: [1]}), "atom name should be a string, not int"),
+        (model_json(val={"p": [True]}), "world in val of p should be an int"),
+        (model_json(val={"p": 1}), "val of p should be an array"),
+        (model_json(rel={"1": [[0, "0"]]}), "world in pair of agent 1 should be an int"),
+        (model_json(rel={"1": [[0, 0, 0]]}), "pair of agent 1 should hold two worlds"),
+        (model_json(rel={"01": [[0, 0]]}), "rel key should be an agent"),
+        (model_json(rel={" 1": [[0, 0]]}), "rel key should be an agent"),
+        (model_json(rel={1: [[0, 0]]}), "rel key should be an agent"),
+        (model_json(extra=1), "model keys should be 'rel', 'val', 'worlds'"),
+        ({"worlds": [0], "rel": {}}, "model keys should be 'rel', 'val', 'worlds'"),
+        ([], "model should be an object"),
+    ],
+)
+def test_the_model_reader_refuses_what_the_writer_never_writes(obj, field):
+    with pytest.raises(ValueError, match=field):
+        model_from_json(obj)
+
+
+def test_the_model_reader_reads_what_the_writer_writes():
+    assert model_to_json(model_from_json(model_json())) == model_json()
