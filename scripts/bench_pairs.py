@@ -4,7 +4,7 @@
 Usage, with two checkouts (say a ``git clone`` of the parent commit and the
 working tree of the change):
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --pr 12 \\
+    python3 scripts/bench_pairs.py --parent ../parent --change . --pr N \\
         --workload ladder --workload corpus --pairs 3 --seconds 30 --seed 2 \\
         [--sweep-pairs 3]
 
