@@ -96,10 +96,6 @@ RESERVED_ATOM = "$const"
 TRUE = Or(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
 FALSE = And(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
 
-# `negate` swaps the operands, so both orientations denote the constants.
-_TRUE_FORMS = frozenset({TRUE, Or(NegAtom(RESERVED_ATOM), Atom(RESERVED_ATOM))})
-_FALSE_FORMS = frozenset({FALSE, And(NegAtom(RESERVED_ATOM), Atom(RESERVED_ATOM))})
-
 
 # ---------------------------------------------------------------------------
 # Structural operations
@@ -268,9 +264,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 # The deepest formula `parse` builds, and the most parentheses and prefix
-# operators it reads open at once.  Hashing, printing and negating recurse
-# once per level, and the parser once per open parenthesis or operator; this
-# keeps them all well inside Python's default recursion limit of 1000.
+# operators it reads open at once.  The parser recurses once per open
+# parenthesis or operator, and the dataclasses' `hash` and `==` once per
+# level; every other walk over a formula runs on an explicit stack.  This
+# keeps both well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 # The most nodes (subformula occurrences) of a formula `parse` builds.  Each
@@ -441,37 +438,46 @@ _PREC_ATOM = 4
 
 def pretty(f: Formula) -> str:
     """Render with minimal parentheses; `parse(pretty(f)) == f`."""
-    return _show(f, 0)
+    return _fold(f, _show_literal, _show_connective)[0]
 
 
-def _show(f: Formula, min_prec: int) -> str:
-    if f in _TRUE_FORMS:
-        return "true"
-    if f in _FALSE_FORMS:
-        return "false"
-    match f:
-        case Atom(name):
-            text, prec = name, _PREC_ATOM
-        case NegAtom(name):
-            text, prec = f"~{name}", _PREC_ATOM
-        case And(left, right):
-            # Left-associative chains print flat; a right-nested `&` needs
-            # parentheses to survive the round trip.
-            text = f"{_show(left, _PREC_AND)} & {_show(right, _PREC_AND + 1)}"
-            prec = _PREC_AND
-        case Or(left, right):
-            text = f"{_show(left, _PREC_OR)} | {_show(right, _PREC_OR + 1)}"
-            prec = _PREC_OR
-        case Box(body):
-            text, prec = f"box {_show(body, _PREC_UNARY)}", _PREC_UNARY
-        case Dia(body):
-            text, prec = f"dia {_show(body, _PREC_UNARY)}", _PREC_UNARY
-        case AgBox(agent, body):
-            text, prec = f"[{agent}] {_show(body, _PREC_UNARY)}", _PREC_UNARY
-        case AgDia(agent, body):
-            text, prec = f"<{agent}> {_show(body, _PREC_UNARY)}", _PREC_UNARY
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    if prec < min_prec:
-        return f"({text})"
-    return text
+def _show_literal(g: Formula) -> tuple[str, int]:
+    return (g.name if type(g) is Atom else f"~{g.name}"), _PREC_ATOM
+
+
+def _show_connective(g: Formula, operands: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text of ``g`` and its precedence, given its operands'; an operand
+    of lower precedence than its place admits is parenthesised."""
+    cls = type(g)
+    if cls is And or cls is Or:
+        if _is_constant(g):
+            return ("true" if cls is Or else "false"), _PREC_ATOM
+        prec, op = (_PREC_AND, "&") if cls is And else (_PREC_OR, "|")
+        (left, left_prec), (right, right_prec) = operands
+        # Left-associative chains print flat; a right-nested `&` needs
+        # parentheses to survive the round trip.
+        if left_prec < prec:
+            left = f"({left})"
+        if right_prec <= prec:
+            right = f"({right})"
+        return f"{left} {op} {right}", prec
+    ((body, body_prec),) = operands
+    if body_prec < _PREC_UNARY:
+        body = f"({body})"
+    if cls is Box:
+        return f"box {body}", _PREC_UNARY
+    if cls is Dia:
+        return f"dia {body}", _PREC_UNARY
+    if cls is AgBox:
+        return f"[{g.agent}] {body}", _PREC_UNARY
+    return f"<{g.agent}> {body}", _PREC_UNARY
+
+
+def _is_constant(g: And | Or) -> bool:
+    """Whether ``g`` joins `$const` and `~$const`, in either order: `TRUE`,
+    `FALSE` or the mirror image `negate` makes of either.  Its operands are
+    formulas, and only literals have a name."""
+    left, right = g.left, g.right
+    return type(left) is not type(right) and (
+        getattr(left, "name", None) == RESERVED_ATOM == getattr(right, "name", None)
+    )

@@ -453,8 +453,8 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
                     f"complementary pair at w{pair} of the sequent "
                     f"no instruction applies to: {state.sequent().show()}"
                 )
-            stable = state.sequent()
-            stable._stable_at = cfg.choices  # what this leaf just found
+            # the sequent carries what this leaf just found
+            stable = LabelledSequent.from_distinct(state.rel, state.log, cfg.choices)
             return Unprovable(stable, stats)
 
         rule, principal, premises = step

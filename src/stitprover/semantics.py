@@ -42,6 +42,7 @@ from .formula import (
     Formula,
     NegAtom,
     Or,
+    _fold,
     atoms,
     parse,
     pretty,
@@ -138,52 +139,6 @@ def check_frame(model: Model, agents: int, choices: int) -> FrameReport:
 # ---------------------------------------------------------------------------
 
 
-def _truth_sets(
-    f: Formula,
-    worlds: frozenset[int],
-    cells: Mapping[int, Mapping[int, frozenset[int]]],
-    val: Mapping[str, frozenset[int]],
-) -> dict[Formula, frozenset[int]]:
-    """Worlds at which each subformula is true, computed bottom-up."""
-    memo: dict[Formula, frozenset[int]] = {}
-    empty: frozenset[int] = frozenset()
-
-    def go(g: Formula) -> frozenset[int]:
-        cached = memo.get(g)
-        if cached is not None:
-            return cached
-        match g:
-            case Atom(name):
-                result = val.get(name, empty) & worlds
-            case NegAtom(name):
-                result = worlds - val.get(name, empty)
-            case And(left, right):
-                result = go(left) & go(right)
-            case Or(left, right):
-                result = go(left) | go(right)
-            case Box(body):
-                result = worlds if go(body) == worlds else empty
-            case Dia(body):
-                result = worlds if go(body) else empty
-            case AgBox(agent, body):
-                body_set = go(body)
-                result = frozenset(
-                    w for w in worlds if cells[agent][w] <= body_set
-                )
-            case AgDia(agent, body):
-                body_set = go(body)
-                result = frozenset(
-                    w for w in worlds if cells[agent][w] & body_set
-                )
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        memo[g] = result
-        return result
-
-    go(f)
-    return memo
-
-
 def _cells_of(model: Model) -> dict[int, dict[int, frozenset[int]]]:
     return {
         agent: {
@@ -197,8 +152,30 @@ def evaluate(model: Model, world: int, f: Formula) -> bool:
     """Truth of ``f`` at ``world`` of ``model`` (assumes a checked frame)."""
     if world not in model.worlds:
         raise ValueError(f"world {world} not in the model")
-    truth = _truth_sets(f, frozenset(model.worlds), _cells_of(model), model.val)
-    return world in truth[f]
+    worlds = frozenset(model.worlds)
+    cells = _cells_of(model)
+    empty: frozenset[int] = frozenset()
+
+    def literal(g: Formula) -> frozenset[int]:
+        if type(g) is Atom:
+            return model.val.get(g.name, empty) & worlds
+        return worlds - model.val.get(g.name, empty)
+
+    def connective(g: Formula, truth: list[frozenset[int]]) -> frozenset[int]:
+        cls = type(g)
+        if cls is And:
+            return truth[0] & truth[1]
+        if cls is Or:
+            return truth[0] | truth[1]
+        if cls is Box:
+            return worlds if truth[0] == worlds else empty
+        if cls is Dia:
+            return worlds if truth[0] else empty
+        if cls is AgBox:
+            return frozenset(w for w in worlds if cells[g.agent][w] <= truth[0])
+        return frozenset(w for w in worlds if cells[g.agent][w] & truth[0])
+
+    return world in _fold(f, literal, connective)
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +369,19 @@ def _compile(f: Formula) -> tuple[list[tuple[int, int, int]], list[str]]:
     names: dict[str, int] = {}
     position: dict[tuple[int, int, int], int] = {}
 
-    def go(g: Formula) -> int:
-        kind = _KINDS.get(type(g))
-        if kind is None:
-            raise TypeError(f"not a formula: {g!r}")
-        if kind <= _NEG:
-            op = (kind, names.setdefault(g.name, len(names)), 0)
-        elif kind <= _OR:
-            op = (kind, go(g.left), go(g.right))
-        else:  # relation 0 is that of box and dia
-            op = (kind, getattr(g, "agent", 0), go(g.body))
+    def literal(g: Formula) -> int:
+        op = (_KINDS[type(g)], names.setdefault(g.name, len(names)), 0)
         return position.setdefault(op, len(position))
 
-    go(f)
+    def connective(g: Formula, operands: list[int]) -> int:
+        kind = _KINDS[type(g)]
+        if kind <= _OR:
+            op = (kind, *operands)
+        else:  # relation 0 is that of box and dia
+            op = (kind, getattr(g, "agent", 0), operands[0])
+        return position.setdefault(op, len(position))
+
+    _fold(f, literal, connective)
     return list(position), list(names)
 
 

@@ -32,12 +32,14 @@ class LabelledFormula(NamedTuple):
 
 
 class LabelledSequent:
-    """Immutable ``R, Γ`` with set equality and ordered iteration.
+    """Immutable ``R, Γ`` with set equality and ordered iteration: assigning
+    or deleting an attribute raises ``AttributeError``.
 
     ``_stable_at`` is ``None`` except on the stable sequent a proof search
     returns, where it is the choice bound that search found it stable at;
-    ``extract_countermodel`` trusts it for that bound alone.  No other
-    constructor sets it, so a copy or an extension carries no mark.
+    ``extract_countermodel`` trusts it for that bound alone.  Only
+    ``from_distinct`` sets it, when asked, so a copy or an extension carries
+    no mark.
     """
 
     __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_hash", "_stable_at")
@@ -47,27 +49,41 @@ class LabelledSequent:
         rel: Iterable[RelAtom] = (),
         forms: Iterable[LabelledFormula] = (),
     ):
-        self._fill(tuple(dict.fromkeys(rel)), tuple(dict.fromkeys(forms)))
+        self._fill(tuple(dict.fromkeys(rel)), tuple(dict.fromkeys(forms)), None)
 
     @classmethod
     def from_distinct(
-        cls, rel: Iterable[RelAtom], forms: Iterable[LabelledFormula]
+        cls,
+        rel: Iterable[RelAtom],
+        forms: Iterable[LabelledFormula],
+        stable_at: int | None = None,
     ) -> "LabelledSequent":
         """The sequent of ``rel`` and ``forms``, in their order, when neither
-        holds a duplicate: it skips the pass that drops them."""
+        holds a duplicate: it skips the pass that drops them.  A search
+        passes ``stable_at`` for the stable sequent it returns."""
         s = cls.__new__(cls)
-        s._fill(tuple(rel), tuple(forms))
+        s._fill(tuple(rel), tuple(forms), stable_at)
         return s
 
     def _fill(
-        self, rel: tuple[RelAtom, ...], forms: tuple[LabelledFormula, ...]
+        self,
+        rel: tuple[RelAtom, ...],
+        forms: tuple[LabelledFormula, ...],
+        stable_at: int | None,
     ) -> None:
-        self.rel = rel
-        self.forms = forms
-        self._rel_set = frozenset(rel)
-        self._forms_set = frozenset(forms)
-        self._hash = hash((self._rel_set, self._forms_set))
-        self._stable_at: int | None = None
+        put = object.__setattr__
+        put(self, "rel", rel)
+        put(self, "forms", forms)
+        put(self, "_rel_set", frozenset(rel))
+        put(self, "_forms_set", frozenset(forms))
+        put(self, "_hash", hash((self._rel_set, self._forms_set)))
+        put(self, "_stable_at", stable_at)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"LabelledSequent is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"LabelledSequent is immutable: cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelledSequent):

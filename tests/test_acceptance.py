@@ -9,8 +9,9 @@ counter-model, and records every monitored size-bound excess.  It also
 folds every run's verdict, statistics and evidence into one SHA-256, so a
 refactor that changes any certificate or stable sequent shows up.  A second
 digest does the same for the benchmark's ``ladder`` goals, whose choice-rule
-splits are wider than any in the sweep, and a third folds the counter-model
-of every refuted sweep run, which the first does not read.
+splits are wider than any in the sweep, a third folds the counter-model
+of every refuted sweep run, which the first does not read, and a fourth the
+counter-model and world of every refutation the oracle reports.
 """
 
 import hashlib
@@ -28,6 +29,7 @@ from stitprover import (
     AgBox,
     Atom,
     CalculusConfig,
+    CounterModel,
     Derivation,
     LabelledFormula,
     LabelledSequent,
@@ -165,6 +167,7 @@ class SweepReport:
     unmarked_model_changes: list = field(default_factory=list)
     digest: str = ""
     model_digest: str = ""
+    oracle_digest: str = ""
     elapsed: float = 0.0
 
 
@@ -200,6 +203,12 @@ def _model_line(model) -> bytes:
     return (json.dumps(shown, sort_keys=True) + "\n").encode()
 
 
+def _oracle_line(verdict: CounterModel) -> bytes:
+    """One sorted-key JSON line: the oracle's counter-model and world."""
+    shown = [model_to_json(verdict.model), verdict.world]
+    return (json.dumps(shown, sort_keys=True) + "\n").encode()
+
+
 def _unmarked_model_change(run) -> str | None:
     """Extraction from a copy of the run's stable sequent, which carries no
     mark of the search and so takes the full ``is_stable`` guard: why it
@@ -226,6 +235,7 @@ def sweep():
     goals.extend(random_formula(rng, 4, ("p", "q")) for _ in range(500))
 
     digest, model_digest = hashlib.sha256(), hashlib.sha256()
+    oracle_digest = hashlib.sha256()
     for run in runs((goal, n) for goal in goals for n in BOUNDS):
         report.runs += 1
         digest.update(_behaviour(run.result, run.choices))
@@ -234,6 +244,8 @@ def sweep():
             change = _unmarked_model_change(run)
             if change is not None:
                 report.unmarked_model_changes.append(_where(run, change))
+        if isinstance(run.verdict, CounterModel):
+            oracle_digest.update(_oracle_line(run.verdict))
         provable = isinstance(run.result, Provable)
         if not run.agrees:
             report.disagreements.append(_where(run, run.problems[0]))
@@ -256,6 +268,7 @@ def sweep():
 
     report.digest = digest.hexdigest()
     report.model_digest = model_digest.hexdigest()
+    report.oracle_digest = oracle_digest.hexdigest()
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -312,6 +325,16 @@ def test_sweep_counter_models_are_unchanged(sweep):
     ``model_to_json``, byte for byte; the digest above reads no model."""
     assert sweep.model_digest == (
         "a3ed7d2c8f11fb9540bdad4175f37bc3dae53f1077db913ff3a959eb701a4d4b"
+    )
+
+
+def test_oracle_counter_models_are_unchanged(sweep):
+    """Every counter-model the oracle reports on the sweep, with its world,
+    as sorted-key ``model_to_json``, byte for byte.  Which model of the
+    fewest worlds the oracle finds first depends on the order in which it
+    numbers the goal's atoms and subformulas."""
+    assert sweep.oracle_digest == (
+        "3c91bdd4bdcb6095d62b3000907bfc126ab96c234fff0a87a6462c9e8d6b81bb"
     )
 
 

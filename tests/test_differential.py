@@ -1,4 +1,4 @@
-"""Tests for the shared prove-vs-oracle loop and the scripts that fold it."""
+"""Tests for the shared prove-vs-oracle loop and the benchmark script."""
 
 import json
 import os
@@ -127,7 +127,7 @@ def test_an_unstable_sequent_yields_no_counter_model(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The experiment scripts
+# The benchmark script
 # ---------------------------------------------------------------------------
 
 
@@ -143,15 +143,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         env=env,
         timeout=300,
     )
-
-
-def test_differential_script_runs_a_small_sweep():
-    proc = run_script("run_differential.py", "--max-connectives", "1",
-                      "--bounds", "0,1")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "104 runs over 52 goals" in proc.stdout
-    assert "disagreements: 0" in proc.stdout
-    assert "evidence failures: 0" in proc.stdout
 
 
 def test_bench_pairs_script_writes_both_sides(tmp_path):
@@ -170,9 +161,3 @@ def test_bench_pairs_script_writes_both_sides(tmp_path):
     assert runs["better"] == "higher" and 0 <= runs["change_better_pairs"] <= 1
     assert len(runs["parent"]["runs"]) == len(runs["change"]["runs"]) == 1
     assert axioms["rss_per_operation"]["parent"]["peak_rss_mb"] > 0
-
-
-def test_axiom_script_starts():
-    proc = run_script("run_axiom_suite.py", "--help")
-    assert proc.returncode == 0, proc.stderr
-    assert "characteristic axioms" in proc.stdout

@@ -16,7 +16,9 @@ from stitprover import (
     Dia,
     NegAtom,
     Or,
+    CounterModel,
     ParseError,
+    decide_by_enumeration,
     evaluate,
     iff,
     implies,
@@ -86,11 +88,9 @@ def test_negate_is_an_involution(f):
 
 
 def test_negate_constants():
-    # Negation swaps the operands, so compare against the recognized forms.
-    from stitprover.formula import _FALSE_FORMS, _TRUE_FORMS
-
-    assert negate(TRUE) in _FALSE_FORMS
-    assert negate(FALSE) in _TRUE_FORMS
+    # Negation swaps the operands; the printer knows both orientations.
+    assert pretty(negate(TRUE)) == "false"
+    assert pretty(negate(FALSE)) == "true"
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +120,21 @@ def test_subformulae_are_in_pre_order():
 def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     """A 5,000-deep chain of boxes, built without the parser (whose nesting
     limit refuses it), is walked on an explicit stack, in pre-order, and
-    measured and negated the same way.  The negation is compared level by
-    level, since ``==`` on the chain would recurse."""
+    measured, negated, printed, evaluated and decided the same way.  The
+    negation is compared level by level, since ``==`` on the chain would
+    recurse."""
     f = Atom("p")
     for i in range(5000):
         f = AgBox(2, f) if i % 2 else Box(f)
+    prefixes = ("[2] " if i % 2 else "box " for i in reversed(range(5000)))
+    assert pretty(f) == "".join(prefixes) + "p"
+    cell = frozenset({(0, 0)})
+    for truth in (frozenset(), frozenset({0})):
+        model = Model(worlds=(0,), rel={1: cell, 2: cell}, val={"p": truth})
+        assert evaluate(model, 0, f) is bool(truth)
+    verdict = decide_by_enumeration(f, agents=2, max_worlds=1)
+    assert isinstance(verdict, CounterModel)
+    assert verdict.model.val == {"p": frozenset()}
     subs = subformulae(f)
     assert len(subs) == 5001
     assert subs[0] is f and subs[1] is f.body and subs[-1] == Atom("p")
@@ -149,11 +159,18 @@ def test_atoms_and_agents():
 
 
 def test_negate_and_depth_refuse_a_non_formula():
+    model = Model(worlds=(0,), rel={1: frozenset({(0, 0)})}, val={})
+    walks = (
+        negate,
+        depth,
+        pretty,
+        lambda f: evaluate(model, 0, f),
+        decide_by_enumeration,
+    )
     for bad in (42, Box("p"), And(Atom("p"), None)):
-        with pytest.raises(TypeError, match="not a formula"):
-            negate(bad)
-        with pytest.raises(TypeError, match="not a formula"):
-            depth(bad)
+        for walk in walks:
+            with pytest.raises(TypeError, match="not a formula"):
+                walk(bad)
 
 
 def test_depth_and_connective_count():

@@ -12,8 +12,10 @@ from stitprover import (
     LabelledFormula,
     LabelledSequent,
     NegAtom,
+    ProverConfig,
     RelAtom,
     graph_of,
+    prove,
     sequent_from_json,
     sequent_to_json,
 )
@@ -85,6 +87,22 @@ def test_extended_is_pure():
     t = s.extended(rel=[RelAtom(1, W, U)], forms=[LabelledFormula(U, P)])
     assert s == seq(forms=[LabelledFormula(W, P)])
     assert t.has_rel(RelAtom(1, W, U)) and t.has_form(U, P)
+
+
+def test_slots_can_be_neither_assigned_nor_deleted():
+    """A search's stable sequent carries its stability mark; assigning to a
+    slot would keep the mark on a sequent the search never saw."""
+    stable = prove(ProverConfig(), Box(P)).stable
+    before = LabelledSequent(stable.rel, stable.forms)
+    for s in (seq(forms=[LabelledFormula(W, P)]), stable):
+        for name in LabelledSequent.__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(s, name, getattr(s, name))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(s, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            s.extra = 1
+    assert stable == before and stable._stable_at == 0
 
 
 def test_without_form_removes_one_formula():
