@@ -44,8 +44,6 @@ from .formula import (
     Or,
     _fold,
     atoms,
-    parse,
-    pretty,
     subformulae,
 )
 from .sequent import LabelledSequent, _exact, components
