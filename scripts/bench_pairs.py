@@ -6,7 +6,7 @@ working tree of the change):
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --pr N \\
         --workload ladder --workload corpus --pairs 3 --seconds 30 --seed 2 \\
-        [--sweep-pairs 3]
+        [--sweep-pairs 3] [--passes 10]
 
 For each workload, each pair runs ``perfbench/run.py`` once in each
 checkout, one run at a time; the first pair starts with the parent and
@@ -17,6 +17,19 @@ sweep (every normal-form goal over p, q with at most three connectives and
 pairs, one process a side: the time in ``prove`` and in
 ``extract_countermodel``, and a SHA-256 over the sorted-key
 ``model_to_json`` of every counter-model.
+
+With ``--passes K`` it also interleaves the two sides in this one process,
+for each workload: it loads each checkout's package under its own module
+name (``stitprover_parent``, ``stitprover_change``) with that checkout's
+``perfbench/harness.py`` bound to it, and runs the workload's goals
+through ``harness.run_pass`` with a fresh ``harness.Tracer``, K passes a
+side, alternating which side goes first.  These are the benchmark's own
+layer calls and checks, so a failed check fails the operation there too.
+Per layer (the traced busy time), per pass wall time, ``runs_per_s`` and
+``verdict_ms_p50`` it reports each side's first, best and median pass and
+the share of passes the change wins.  A side's first pass far slower than
+its median one flags a cache that outlives a pass.  ``--pairs 0`` skips
+the process-level pairs.
 
 It writes ``BENCH_<pr>.json`` in the change's checkout, or ``--out``: both
 commits, the core count, the Python version, every run, and per metric
@@ -29,6 +42,7 @@ gives the memory each extra operation costs (``rss_per_operation``).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -164,6 +178,107 @@ def rss_per_operation(runs: list[dict]) -> dict | None:
     }
 
 
+def _load(name: str, path: Path, package: Path | None = None):
+    """The module at ``path`` (a package's ``__init__.py`` when ``package``
+    is its directory), loaded as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=[str(package)] if package else None
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_harnesses(paths: dict[str, Path]) -> dict:
+    """Each side's ``perfbench/harness.py``, importing that side's package,
+    renamed, as ``stitprover``; both use the change's ``workloads``.  The
+    entries this borrows in ``sys.modules`` are put back."""
+    borrowed = {name: sys.modules.get(name) for name in ("stitprover", "workloads")}
+    harnesses = {}
+    try:
+        workloads = _load("workloads", paths["change"] / "perfbench" / "workloads.py")
+        for side in SIDES:
+            package = paths[side] / "src" / "stitprover"
+            sys.modules["stitprover"] = _load(
+                f"stitprover_{side}", package / "__init__.py", package
+            )
+            harnesses[side] = _load(
+                f"harness_{side}", paths[side] / "perfbench" / "harness.py"
+            )
+    finally:
+        for name, module in borrowed.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return {"workloads": workloads, **harnesses}
+
+
+# The figures of one interleaved pass that are not layer busy times.
+_PASS_BETTER = {"pass_s": "lower", "runs_per_s": "higher", "verdict_ms_p50": "lower"}
+
+
+def traced_pass(harness, goals) -> tuple[dict[str, float], list[str]]:
+    """One pass of ``goals`` through ``harness`` under a fresh tracer: its
+    figures, and the failures of its operations."""
+    tracer = harness.Tracer()
+    outcomes, wall = harness.run_pass(goals, tracer)
+    layers = harness.layer_metrics(tracer.spans, tracer.counts, wall)
+    figures = {
+        name: value for name, value in layers.items()
+        if name.endswith(".busy_s") or name == "harness.other_s"
+    }
+    done = [o for o in outcomes if o.failure is None]
+    figures["pass_s"] = wall
+    figures["runs_per_s"] = len(done) / wall
+    figures["verdict_ms_p50"] = (
+        1000 * statistics.median(o.verdict_s for o in done) if done else 0.0
+    )
+    return figures, [o.failure for o in outcomes if o.failure is not None]
+
+
+def interleave(loaded: dict, workload: str, seed: int, passes: int) -> dict:
+    """``passes`` traced passes a side of one workload, in this process,
+    alternating which side goes first; per figure, each side's first, best
+    and median pass and the share of passes the change wins."""
+    goals = loaded["workloads"].WORKLOADS[workload](seed)
+    figures = {side: [] for side in SIDES}
+    failures = {side: [] for side in SIDES}
+    for index in range(passes):
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            ran, failed = traced_pass(loaded[side], goals)
+            figures[side].append(ran)
+            failures[side] += failed
+        print(f"  pass {index}: " + ", ".join(
+            f"{side} {figures[side][-1]['pass_s']:.3f} s" for side in SIDES
+        ), file=sys.stderr)
+    out = {}
+    for name in figures["parent"][0]:
+        side = {s: [ran[name] for ran in figures[s]] for s in SIDES}
+        if not any(side["parent"] + side["change"]):
+            continue  # a layer this workload never calls
+        better = _PASS_BETTER.get(name, "lower")
+        best = min if better == "lower" else max
+        entry = {"better": better}
+        for s in SIDES:
+            entry[s] = {"first": side[s][0], "best": best(side[s]),
+                        "median": statistics.median(side[s])}
+        base = entry["parent"]["median"]
+        if base:
+            entry["median_change_pct"] = 100 * (entry["change"]["median"] - base) / base
+        wins = sum(
+            (c < p) if better == "lower" else (c > p)
+            for p, c in zip(side["parent"], side["change"])
+        )
+        entry["change_wins_share"] = wins / passes
+        out[name] = entry
+    return {"passes": passes, "operations_per_pass": len(goals),
+            "failed_operations": {s: len(failures[s]) for s in SIDES},
+            "first_failures": {s: failures[s][:3] for s in SIDES},
+            "figures": out}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
@@ -175,11 +290,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--sweep-pairs", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=0,
+                        help="interleaved passes a side, in one process")
     parser.add_argument("--out", type=Path,
                         help="where to write (default: BENCH_<pr>.json in the change)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.sweep_pairs < 0:
-        parser.error("--pairs must be at least 1 and --sweep-pairs at least 0")
+    if min(args.pairs, args.sweep_pairs, args.passes) < 0:
+        parser.error("--pairs, --passes and --sweep-pairs cannot be negative")
+    if args.pairs == 0 and args.passes == 0 and args.sweep_pairs == 0:
+        parser.error("nothing to run: give --pairs, --passes or --sweep-pairs")
 
     paths = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((paths["change"] / "BENCHMARK.json").read_text())
@@ -190,11 +309,12 @@ def main(argv=None) -> int:
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-                     "sweep_pairs": args.sweep_pairs,
-                     "order": "pair 0 runs the parent first, then sides alternate"},
+                     "sweep_pairs": args.sweep_pairs, "passes": args.passes,
+                     "order": "pair 0 and pass 0 run the parent first, "
+                              "then sides alternate"},
         "workloads": {},
     }
-    for workload in args.workload:
+    for workload in args.workload if args.pairs else ():
         print(f"{workload}:", file=sys.stderr)
         runs = in_pairs(
             args.pairs,
@@ -207,6 +327,14 @@ def main(argv=None) -> int:
             "failed_operations": sum(r["failed"] for r in runs),
             "runs": runs,
         }
+    if args.passes and args.workload:
+        loaded = load_harnesses(paths)
+        report["interleaved"] = {}
+        for workload in args.workload:
+            print(f"{workload}, interleaved:", file=sys.stderr)
+            report["interleaved"][workload] = interleave(
+                loaded, workload, args.seed, args.passes
+            )
     if args.sweep_pairs:
         print("sweep:", file=sys.stderr)
         runs = in_pairs(args.sweep_pairs, sweep_run, paths)

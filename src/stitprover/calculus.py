@@ -48,16 +48,19 @@ from itertools import combinations
 from typing import Any, Mapping, NoReturn, Sequence
 
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
-from .formula import agents_of, parse, pretty
+from .formula import agents_of, pretty
 from .sequent import (
     Label,
     LabelledFormula,
     LabelledSequent,
     RelAtom,
     _exact,
+    _formula_of,
+    _keys,
+    _sequent_from_json,
+    _sequent_to_json,
+    _text_of,
     components,
-    sequent_from_json,
-    sequent_to_json,
 )
 
 
@@ -410,51 +413,69 @@ def _witness(principal: Mapping[str, Any], concl: LabelledSequent) -> Label:
 _FORMULA_KEYS = frozenset({"formula"})
 _TUPLE_KEYS = frozenset({"targets", "roots"})
 
+# The keys the writer writes: of a certificate, of a node, and of a node's
+# principal data (every key of the table in the module docstring).
+_CERTIFICATE_KEYS = ("m", "n", "mode", "derivation")
+_NODE_KEYS = ("sequent", "rule")
+_KNOWN_NODE_KEYS = frozenset({*_NODE_KEYS, "principal", "premises"})
+_PRINCIPAL_KEYS = frozenset({
+    "label", "atom", "formula", "fresh", "witness", "agent",
+    "apex", "source", "target", "targets", "roots",
+})
+
 
 def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
+    """The certificate of ``root``, printing each distinct formula once."""
     return {
         "m": cfg.agents,
         "n": cfg.choices,
         "mode": cfg.mode.value,
-        "derivation": _node_to_json(root),
+        "derivation": _node_to_json(root, {}),
     }
 
 
-def _node_to_json(node: Derivation) -> dict:
+def _node_to_json(node: Derivation, shown: dict[Formula, str]) -> dict:
     principal = {}
     for key, value in node.principal.items():
         if key in _FORMULA_KEYS:
-            principal[key] = pretty(value)
+            principal[key] = _text_of(value, shown)
         elif key in _TUPLE_KEYS:
             principal[key] = list(value)
         else:
             principal[key] = value
     return {
-        "sequent": sequent_to_json(node.conclusion),
+        "sequent": _sequent_to_json(node.conclusion, shown),
         "rule": node.rule.value,
         "principal": principal,
-        "premises": [_node_to_json(p) for p in node.premises],
+        "premises": [_node_to_json(p, shown) for p in node.premises],
     }
 
 
 def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
     """Read a certificate.  Labels, agents, ``m`` and ``n`` must be ints, and
-    atoms and formulas strings, exactly: nothing is coerced."""
-    _exact(obj, dict, "certificate")
+    atoms and formulas strings, exactly: nothing is coerced.  An object
+    that lacks a key the writer always writes, or holds one it never
+    writes, is refused.  Each distinct formula text is parsed once, and
+    every occurrence of it reads as that one formula object."""
+    _keys(_exact(obj, dict, "certificate"), "certificate",
+          _CERTIFICATE_KEYS, frozenset(_CERTIFICATE_KEYS))
     cfg = CalculusConfig(
         agents=_exact(obj["m"], int, "m"),
         choices=_exact(obj["n"], int, "n"),
         mode=Mode(obj["mode"]),
     )
-    return cfg, _node_from_json(obj["derivation"], cfg.agents, "derivation")
+    return cfg, _node_from_json(obj["derivation"], cfg.agents, "derivation", {})
 
 
-def _node_from_json(obj: dict, agents: int, field: str) -> Derivation:
-    _exact(obj, dict, field)
+def _node_from_json(
+    obj: dict, agents: int, field: str, parsed: dict[str, Formula]
+) -> Derivation:
+    _keys(_exact(obj, dict, field), field, _NODE_KEYS, _KNOWN_NODE_KEYS)
     principal: dict[str, Any] = {}
-    for key, value in _exact(obj.get("principal", {}), dict, "principal").items():
+    given = _exact(obj.get("principal", {}), dict, "principal")
+    for key, value in _keys(given, "principal", (), _PRINCIPAL_KEYS).items():
         if key in _FORMULA_KEYS:
-            principal[key] = parse(_exact(value, str, key), agents)
+            principal[key] = _formula_of(value, agents, parsed)
         elif key in _TUPLE_KEYS:
             items = _exact(value, list, key)
             principal[key] = tuple(_exact(x, int, key) for x in items)
@@ -463,11 +484,11 @@ def _node_from_json(obj: dict, agents: int, field: str) -> Derivation:
         else:
             principal[key] = _exact(value, int, key)
     return Derivation(
-        conclusion=sequent_from_json(obj["sequent"], agents),
+        conclusion=_sequent_from_json(obj["sequent"], agents, parsed),
         rule=RuleTag(obj["rule"]),
         principal=principal,
         premises=tuple(
-            _node_from_json(p, agents, "premise")
+            _node_from_json(p, agents, "premise", parsed)
             for p in _exact(obj.get("premises", []), list, "premises")
         ),
     )

@@ -12,7 +12,9 @@ Four subcommands:
   and the oracle, with every certificate and counter-model checked,
   reporting the first disagreement or rejected piece of evidence.
 
-Exit status: 0 provable/valid certificate/valid formula/full agreement;
+Exit status: 0 provable/valid certificate/valid formula/full agreement,
+or no counter-model up to a world bound not proved complete (the oracle
+prints "not proved valid" then);
 1 unprovable, invalid certificate, counter-model found, disagreement, or
 rejected evidence;
 2 usage or input error (a certificate nested too deeply to read included);
@@ -151,10 +153,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"valid (all models up to {outcome.bound} worlds)")
         return 0
     if isinstance(outcome, ValidUpToBound):
-        print(
-            f"valid up to {outcome.bound} worlds "
-            f"(below the default bound {outcome.default_bound})"
-        )
+        if outcome.bound < outcome.default_bound:
+            why = f"below the default bound {outcome.default_bound}"
+        else:
+            why = "no complete world bound is known for several agents"
+        print(f"no counter-model up to {outcome.bound} worlds; not proved valid ({why})")
         return 0
     assert isinstance(outcome, CounterModel)
     print(f"counter-model found, goal false at world {outcome.world}:")

@@ -10,7 +10,7 @@ parse time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, TypeVar, Union
 
 # ---------------------------------------------------------------------------
@@ -18,72 +18,175 @@ from typing import Callable, TypeVar, Union
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Node:
+    """The base of the eight formula classes.  A formula is immutable and
+    compared by structure, like a frozen dataclass, and it is hashed once,
+    at construction, from its class and its fields' hashes: a child's hash
+    is the one it stored, so `hash` takes constant time at any depth.
+    ``==`` is identity, or else equal classes and hashes and then equal
+    fields, compared on an explicit stack."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        if type(other) is not type(self) or other._hash != self._hash:
+            return False
+        return _same_fields(self, other)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(_fields(self))
+
+    def __repr__(self) -> str:
+        return _show_fields(self)
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
-class NegAtom:
-    name: str
+class _Literal(_Node):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __str__(self) -> str:
-        return pretty(self)
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return pretty(self)
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, hash((type(self), name)))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
 
-    def __str__(self) -> str:
-        return pretty(self)
-
-
-@dataclass(frozen=True)
-class Box:
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return pretty(self)
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set_left(self, left)
+        _set_right(self, right)
+        try:
+            key = (type(self), left._hash, right._hash)
+        except AttributeError:  # an operand no walk takes: see `_fold`
+            key = (type(self), left, right)
+        _set_hash(self, hash(key))
 
 
-@dataclass(frozen=True)
-class Dia:
-    body: "Formula"
+class _Modal(_Node):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
 
-    def __str__(self) -> str:
-        return pretty(self)
-
-
-@dataclass(frozen=True)
-class AgBox:
-    agent: int
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return pretty(self)
+    def __init__(self, body: "Formula"):
+        _set_body(self, body)
+        try:
+            key = (type(self), body._hash)
+        except AttributeError:
+            key = (type(self), body)
+        _set_hash(self, hash(key))
 
 
-@dataclass(frozen=True)
-class AgDia:
-    agent: int
-    body: "Formula"
+class _Agentive(_Modal):
+    __slots__ = ("agent",)
+    __match_args__ = ("agent", "body")
 
-    def __str__(self) -> str:
-        return pretty(self)
+    def __init__(self, agent: int, body: "Formula"):
+        _set_agent(self, agent)
+        _set_body(self, body)
+        try:
+            key = (type(self), agent, body._hash)
+        except AttributeError:
+            key = (type(self), agent, body)
+        _set_hash(self, hash(key))
+
+
+# The slots' own setters: the constructors set each field once through
+# them, past the `__setattr__` that refuses every later assignment.
+_set_hash = _Node._hash.__set__
+_set_name = _Literal.name.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_body, _set_agent = _Modal.body.__set__, _Agentive.agent.__set__
+
+
+class Atom(_Literal):
+    __slots__ = ()
+
+
+class NegAtom(_Literal):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Box(_Modal):
+    __slots__ = ()
+
+
+class Dia(_Modal):
+    __slots__ = ()
+
+
+class AgBox(_Agentive):
+    __slots__ = ()
+
+
+class AgDia(_Agentive):
+    __slots__ = ()
+
+
+def _same_fields(f: _Node, g: _Node) -> bool:
+    """Whether two formulas of one class and hash have equal fields, all the
+    way down, on an explicit stack."""
+    todo = list(zip(_fields(f), _fields(g)))
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if isinstance(a, _Node):
+            if type(b) is not type(a) or b._hash != a._hash:
+                return False
+            todo += zip(_fields(a), _fields(b))
+        elif a != b:
+            return False
+    return True
+
+
+def _fields(f: _Node) -> list:
+    return [getattr(f, name) for name in f.__match_args__]
+
+
+class _Text(str):
+    """Output text, as opposed to a field value to show with `repr`."""
+
+
+def _show_fields(f: _Node) -> str:
+    """``f`` as a dataclass shows itself, ``Box(body=Atom(name='p'))``, on an
+    explicit stack."""
+    parts, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is _Text:
+            parts.append(g)
+        elif isinstance(g, _Node):
+            todo.append(_Text(")"))
+            for i, name in reversed(list(enumerate(g.__match_args__))):
+                todo += (getattr(g, name), _Text(f"{', ' if i else ''}{name}="))
+            todo.append(_Text(f"{type(g).__name__}("))
+        else:
+            parts.append(repr(g))
+    return "".join(parts)
 
 
 Formula = Union[Atom, NegAtom, And, Or, Box, Dia, AgBox, AgDia]
@@ -242,37 +345,36 @@ class ParseError(ValueError):
 
 _KEYWORDS = frozenset({"box", "dia", "true", "false"})
 
+# One token after any whitespace, or the first character no token starts
+# with (group 2).  Only whitespace is ever skipped: a non-space character
+# matches one group or the other.
 _TOKEN_RE = re.compile(
-    r"<->|->|[()\[\]<>&|!~]|\d+|[A-Za-z_][A-Za-z0-9_]*"
+    r"\s*(?:(<->|->|[()\[\]<>&|!~]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S))"
 )
-_SKIP_RE = re.compile(r"\s*")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        pos = _SKIP_RE.match(text, pos).end()
-        if pos >= len(text):
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append((m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            raise ParseError(
+                f"unexpected character {m.group(2)!r} at position {m.start(2)}"
+            )
+        tokens.append((tok, m.start(1)))
     return tokens
 
 
 # The deepest formula `parse` builds, and the most parentheses and prefix
-# operators it reads open at once.  The parser recurses once per open
-# parenthesis or operator, and the dataclasses' `hash` and `==` once per
-# level; every other walk over a formula runs on an explicit stack.  This
-# keeps both well inside Python's default recursion limit of 1000.
+# operators it reads open at once.  Only the parser recurses, once per open
+# parenthesis or operator; `hash`, `==` and every walk over a formula run
+# in constant stack, so a deeper formula built by hand is fine.  This keeps
+# the parser well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 # The most nodes (subformula occurrences) of a formula `parse` builds.  Each
 # `<->` copies both of its operands twice, so a chain of them doubles the
-# syntax tree per link, and negating or hashing it walks every node; the
+# syntax tree per link, and negating or printing it walks every node; the
 # parser counts the nodes before it builds.
 MAX_NODES = 10_000
 

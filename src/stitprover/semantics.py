@@ -264,7 +264,8 @@ def default_world_bound(f: Formula) -> int:
     gets one cell, which keeps independence and every choice bound.
 
     When ``f`` mentions several agents, the bound is ``1 + h + a``: a search
-    limit with no completeness proof.  Individual multi-agent choice logic
+    limit with no completeness proof, so `decide_by_enumeration` reports no
+    such goal as `Valid`.  Individual multi-agent choice logic
     is NEXPTIME-complete (Balbiani, Herzig and Troquard, *J. Philos. Logic*
     37, 2008), so no polynomial bound can be complete for it.
     """
@@ -292,9 +293,13 @@ def decide_by_enumeration(
     bisimulation, for a world falsifying ``f``; report one with the fewest
     worlds.
 
-    The default bound is `default_world_bound`.  Passing a smaller bound
-    makes a "valid" outcome incomplete, which is reported as
-    `ValidUpToBound`.
+    The default bound is `default_world_bound`.  Finding no counter-model
+    is reported as `Valid` only where that bound is proved complete: for a
+    goal that mentions at most one agent, searched up to the default bound.
+    Otherwise it is `ValidUpToBound`: under a smaller ``max_worlds``, or for
+    a goal that mentions several agents, whose bound has no proof (and
+    ``!([1] p & dia [1] ~p & [2] r & dia [2] ~r)`` has a counter-model of
+    4 worlds, one more than its bound).
     """
     default = default_world_bound(f)
     bound = default if max_worlds is None else max_worlds
@@ -319,7 +324,8 @@ def decide_by_enumeration(
             falsified = full ^ _truth(program, atom_masks, full, meets)
             if falsified:
                 return _counter_model(names, atom_masks, meets, agents, falsified)
-    if max_worlds is not None and max_worlds < default:
+    agentive = {rel for kind, rel, _ in program if kind >= _BOX} - {0}
+    if len(agentive) > 1 or max_worlds is not None and max_worlds < default:
         return ValidUpToBound(bound=bound, default_bound=default)
     return Valid(bound=bound)
 

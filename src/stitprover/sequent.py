@@ -197,14 +197,33 @@ def components(
 
 
 def sequent_to_json(s: LabelledSequent) -> dict:
+    return _sequent_to_json(s, {})
+
+
+def _sequent_to_json(s: LabelledSequent, shown: dict[Formula, str]) -> dict:
     return {
         "rel": [[agent, src, tgt] for agent, src, tgt in s.rel],
-        "forms": [[label, pretty(f)] for label, f in s.forms],
+        "forms": [[label, _text_of(f, shown)] for label, f in s.forms],
     }
 
 
+def _text_of(f: Formula, shown: dict[Formula, str]) -> str:
+    """The text of ``f``, printed once per ``shown``: a certificate's writer
+    passes one memo to all of its nodes and drops it when it returns."""
+    text = shown.get(f)
+    if text is None:
+        text = shown[f] = pretty(f)
+    return text
+
+
 def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
-    _exact(obj, dict, "sequent")
+    return _sequent_from_json(obj, agents, {})
+
+
+def _sequent_from_json(
+    obj: dict, agents: int, parsed: dict[str, Formula]
+) -> LabelledSequent:
+    _keys(_exact(obj, dict, "sequent"), "sequent", (), _SEQUENT_KEYS)
     rel = [
         RelAtom(
             _exact(a, int, "agent"), _exact(s, int, "label"), _exact(t, int, "label")
@@ -212,15 +231,39 @@ def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
         for a, s, t in _exact(obj.get("rel", []), list, "rel")
     ]
     forms = [
-        LabelledFormula(
-            _exact(w, int, "label"), parse(_exact(text, str, "formula"), agents)
-        )
+        LabelledFormula(_exact(w, int, "label"), _formula_of(text, agents, parsed))
         for w, text in _exact(obj.get("forms", []), list, "forms")
     ]
     for atom in rel:
         if not 1 <= atom.agent <= agents:
             raise ValueError(f"agent index {atom.agent} out of range 1..{agents}")
     return LabelledSequent(rel, forms)
+
+
+_SEQUENT_KEYS = frozenset({"rel", "forms"})
+
+
+def _formula_of(text: Any, agents: int, parsed: dict[str, Formula]) -> Formula:
+    """The formula ``text`` reads as, parsed once per ``parsed``: a
+    certificate's reader passes one memo to all of its nodes and drops it
+    when it returns, so every text it holds equal reads as one object."""
+    f = parsed.get(_exact(text, str, "formula"))
+    if f is None:
+        f = parsed[text] = parse(text, agents)
+    return f
+
+
+def _keys(obj: dict, field: str, required: tuple[str, ...], known: frozenset) -> dict:
+    """``obj`` when it holds every key of ``required`` and no key outside
+    ``known``, the keys a writer writes; otherwise a ``ValueError`` naming
+    ``field`` and the key.  The certificate reader uses it too."""
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{field} lacks the key {key!r}")
+    if not obj.keys() <= known:
+        key = next(key for key in obj if key not in known)
+        raise ValueError(f"{field} has an unknown key {key!r}")
+    return obj
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", int: "an int", str: "a string"}

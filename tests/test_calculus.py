@@ -1,6 +1,7 @@
 """Tests for the proof checker: rule shapes, modes, fixtures, soundness."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,7 +32,9 @@ from stitprover import (
     derivation_to_json,
     evaluate,
     parse,
+    pretty,
     prove,
+    sequent,
 )
 from stitprover.formula import atoms
 
@@ -654,6 +657,71 @@ def test_certificate_json_rejects_unknown_rules():
     blob["derivation"]["rule"] = "smuggle"
     with pytest.raises(ValueError):
         derivation_from_json(blob)
+
+
+BC_3 = (
+    "dia [1] p & dia (~p & [1] q) & dia (~p & ~q & [1] r) -> p | q | r"
+)
+
+
+def _bc3_certificate():
+    result = prove(ProverConfig(choices=3), parse(BC_3))
+    assert isinstance(result, Provable)
+    return CalculusConfig(agents=1, choices=3, mode=Mode.REFINED), result.derivation
+
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.premises)
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls to ``module.name`` by their first argument."""
+    calls = Counter()
+    real = getattr(module, name)
+
+    def counted(first, *rest):
+        calls[first] += 1
+        return real(first, *rest)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_certificate_reader_parses_each_distinct_text_once_per_call(monkeypatch):
+    """The memo from text to formula lives for one `derivation_from_json`
+    call: within it each distinct text is parsed once, and the next call
+    parses them all again."""
+    cfg, root = _bc3_certificate()
+    blob = derivation_to_json(cfg, root)
+    texts = Counter()
+    for node in _nodes(derivation_from_json(blob)[1]):
+        texts.update(pretty(f) for _, f in node.conclusion.forms)
+        if "formula" in node.principal:
+            texts[pretty(node.principal["formula"])] += 1
+    assert sum(texts.values()) > 5 * len(texts)  # texts repeat across nodes
+    calls = _counting(monkeypatch, sequent, "parse")
+    cfg2, root2 = derivation_from_json(blob)
+    assert calls == Counter(dict.fromkeys(texts, 1))
+    assert (cfg2, root2) == (cfg, root) and check_derivation(cfg2, root2).ok
+    derivation_from_json(blob)
+    assert calls == Counter(dict.fromkeys(texts, 2))
+
+
+def test_a_certificate_writer_prints_each_distinct_formula_once_per_call(monkeypatch):
+    """Likewise the memo from formula to text of `derivation_to_json`."""
+    cfg, root = _bc3_certificate()
+    formulas = {f for node in _nodes(root) for _, f in node.conclusion.forms}
+    formulas |= {n.principal["formula"] for n in _nodes(root) if "formula" in n.principal}
+    blob = derivation_to_json(cfg, root)
+    calls = _counting(monkeypatch, sequent, "pretty")
+    assert derivation_to_json(cfg, root) == blob
+    assert calls == Counter(dict.fromkeys(formulas, 1))
+    derivation_to_json(cfg, root)
+    assert calls == Counter(dict.fromkeys(formulas, 2))
 
 
 # ---------------------------------------------------------------------------

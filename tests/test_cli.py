@@ -136,6 +136,26 @@ def _sequent_label_float(blob):
     blob["derivation"]["sequent"]["forms"][0][0] = 0.0
 
 
+def _bogus_certificate_key(blob):
+    blob["bogus"] = 1
+
+
+def _bogus_node_key(blob):
+    blob["derivation"]["premises"][0]["bogus"] = 1
+
+
+def _bogus_sequent_key(blob):
+    blob["derivation"]["sequent"]["bogus"] = 1
+
+
+def _bogus_principal_key(blob):
+    blob["derivation"]["principal"]["bogus"] = 1
+
+
+def _no_rule(blob):
+    del blob["derivation"]["rule"]
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -143,11 +163,17 @@ def _sequent_label_float(blob):
         (_label_text, "label"),
         (_label_true, "label"),
         (_sequent_label_float, "label"),
+        (_bogus_certificate_key, "certificate has an unknown key 'bogus'"),
+        (_bogus_node_key, "premise has an unknown key 'bogus'"),
+        (_bogus_sequent_key, "sequent has an unknown key 'bogus'"),
+        (_bogus_principal_key, "principal has an unknown key 'bogus'"),
+        (_no_rule, "derivation lacks the key 'rule'"),
     ],
 )
 def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, capsys):
-    """A premise that is not an object, and a label that is not exactly an
-    int, are malformed: exit 2 with one line that names the field, not a
+    """A premise that is not an object, a label that is not exactly an
+    int, a key the writer never writes and a missing key it always writes
+    are malformed: exit 2 with one line that names the field or key, not a
     traceback, a coerced label or a valid certificate."""
     cert = tmp_path / "proof.json"
     assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 0
@@ -224,6 +250,17 @@ def test_oracle_handles_two_agents(capsys):
     goal = "dia [1] p & dia [2] q -> dia ([1] p & [2] q)"
     assert main(["oracle", goal, "--agents", "2", "--max-worlds", "2"]) == 0
     assert "up to" in capsys.readouterr().out
+
+
+def test_oracle_does_not_call_a_two_agent_goal_valid(capsys):
+    """No world bound is proved for several agents, and this goal has a
+    counter-model one world beyond its bound of 3."""
+    goal = "!([1] p & dia [1] ~p & [2] r & dia [2] ~r)"
+    assert main(["oracle", goal, "--agents", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("no counter-model up to 3 worlds; not proved valid")
+    assert main(["oracle", goal, "--agents", "2", "--max-worlds", "4"]) == 1
+    assert "counter-model found" in capsys.readouterr().out
 
 
 def test_oracle_refuses_more_atoms_than_it_takes(capsys):

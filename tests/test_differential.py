@@ -161,3 +161,29 @@ def test_bench_pairs_script_writes_both_sides(tmp_path):
     assert runs["better"] == "higher" and 0 <= runs["change_better_pairs"] <= 1
     assert len(runs["parent"]["runs"]) == len(runs["change"]["runs"]) == 1
     assert axioms["rss_per_operation"]["parent"]["peak_rss_mb"] > 0
+
+
+def test_bench_pairs_interleaves_a_checkout_with_itself(tmp_path):
+    """Two interleaved passes a side on ``axioms`` in one process, this
+    checkout loaded twice under two module names."""
+    out = tmp_path / "BENCH_0.json"
+    proc = run_script("bench_pairs.py", "--parent", str(ROOT), "--change",
+                      str(ROOT), "--pr", "0", "--workload", "axioms",
+                      "--pairs", "0", "--passes", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {} and report["settings"]["passes"] == 2
+    axioms = report["interleaved"]["axioms"]
+    assert axioms["passes"] == 2 and axioms["operations_per_pass"] == 16
+    assert axioms["failed_operations"] == {"parent": 0, "change": 0}
+    figures = axioms["figures"]
+    for layer in ("formula.parse.busy_s", "prover.prove.busy_s",
+                  "calculus.derivation_from_json.busy_s",
+                  "semantics.decide_by_enumeration.busy_s", "verdict_ms_p50"):
+        entry = figures[layer]
+        assert entry["better"] == "lower"
+        assert entry["change_wins_share"] in (0.0, 0.5, 1.0)
+        for side in ("parent", "change"):
+            first, best, median = (entry[side][k] for k in ("first", "best", "median"))
+            assert 0 < best <= median and best <= first
+    assert figures["runs_per_s"]["better"] == "higher"

@@ -13,11 +13,18 @@ from stitprover import (
     And,
     Atom,
     Box,
+    CalculusConfig,
     Dia,
+    LabelledFormula,
+    LabelledSequent,
+    Mode,
     NegAtom,
     Or,
     CounterModel,
     ParseError,
+    Provable,
+    ProverConfig,
+    check_derivation,
     decide_by_enumeration,
     evaluate,
     iff,
@@ -25,6 +32,7 @@ from stitprover import (
     negate,
     parse,
     pretty,
+    prove,
 )
 from stitprover.formula import (
     FALSE,
@@ -121,8 +129,7 @@ def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     """A 5,000-deep chain of boxes, built without the parser (whose nesting
     limit refuses it), is walked on an explicit stack, in pre-order, and
     measured, negated, printed, evaluated and decided the same way.  The
-    negation is compared level by level, since ``==`` on the chain would
-    recurse."""
+    negation is compared level by level, by class and agent."""
     f = Atom("p")
     for i in range(5000):
         f = AgBox(2, f) if i % 2 else Box(f)
@@ -147,6 +154,34 @@ def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     assert [type(g) for g in negated] == [dual[type(g)] for g in subs]
     assert {g.agent for g in negated if type(g) is AgDia} == {2}
     assert negated[-1] == NegAtom("p")
+
+
+def _chain(leaf, agent):
+    f = leaf
+    for i in range(5000):
+        f = AgBox(agent, f) if i % 2 else Box(f)
+    return f
+
+
+def test_hash_eq_search_and_checker_take_a_chain_deeper_than_the_recursion_limit():
+    """The same depth for `hash` and `==`, which take each node's stored
+    hash and compare on an explicit stack, and so for labelled sequents,
+    the search and the checker, which hash every formula they hold."""
+    f = _chain(Atom("p"), 1)
+    twin = _chain(Atom("p"), 1)
+    assert f is not twin and hash(f) == hash(twin)
+    assert f == twin and not f != twin
+    assert f != _chain(Atom("q"), 1)
+    assert len({f, twin, f.body}) == 2
+    sequent = LabelledSequent(forms=[LabelledFormula(0, f)])
+    assert sequent == LabelledSequent(forms=[LabelledFormula(0, twin)])
+    assert sequent.has_form(0, twin)
+    goal = Or(Or(Atom("q"), NegAtom("q")), f)
+    result = prove(ProverConfig(choices=0), goal)
+    assert isinstance(result, Provable)
+    assert result.derivation.conclusion == LabelledSequent(forms=[LabelledFormula(0, goal)])
+    cfg = CalculusConfig(agents=1, choices=0, mode=Mode.REFINED)
+    assert check_derivation(cfg, result.derivation).ok
 
 
 def test_atoms_and_agents():

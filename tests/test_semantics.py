@@ -31,7 +31,7 @@ from stitprover import (
     pretty,
     prove,
 )
-from stitprover.formula import atoms
+from stitprover.formula import agents_of, atoms
 from stitprover.semantics import (
     _bits,
     _reduced_models,
@@ -342,7 +342,9 @@ TWO_AGENT_GOALS = (
 
 def test_the_oracle_matches_raw_enumeration_on_small_models():
     """Up to bisimulation or raw, the same verdict at every world bound,
-    and counter-models with the same, smallest number of worlds."""
+    and counter-models with the same, smallest number of worlds.  With no
+    counter-model, the oracle claims validity only at or above the default
+    bound of a goal that mentions one agent at most."""
     cases = [(goal, 1) for goal in enumerate_formulas(2)]
     cases += [(parse(text, agents=2), 2) for text in TWO_AGENT_GOALS]
     for goal, agents in cases:
@@ -357,7 +359,7 @@ def test_the_oracle_matches_raw_enumeration_on_small_models():
                     assert len(result.model.worlds) == smallest, where
                     assert check_frame(result.model, agents, n).ok, where
                     assert not evaluate(result.model, result.world, goal), where
-                elif max_worlds < default:
+                elif max_worlds < default or len(agents_of(goal)) > 1:
                     assert result == ValidUpToBound(max_worlds, default), where
                 else:
                     assert result == Valid(max_worlds), where
@@ -434,10 +436,26 @@ def test_the_oracle_walks_every_raw_model_up_to_bisimulation(
 
 
 def test_two_agent_independence_axiom_is_valid():
+    """The axiom is valid, and the oracle finds no counter-model up to its
+    bound of 5 worlds; but that bound has no proof for two agents, so the
+    oracle does not claim validity."""
     goal = parse("dia [1] p & dia [2] q -> dia ([1] p & [2] q)", agents=2)
     result = decide_by_enumeration(goal, agents=2)
-    assert isinstance(result, Valid)
-    assert result.bound == 5
+    assert result == ValidUpToBound(bound=5, default_bound=5)
+
+
+def test_the_oracle_claims_no_validity_for_a_two_agent_goal_it_cannot_prove():
+    """The bound ``1 + h + a`` is 3 here, yet independence needs one world
+    in each of the four blocks that the two ``dia``s force: at 3 worlds the
+    oracle finds nothing, at 4 a counter-model."""
+    goal = parse("!([1] p & dia [1] ~p & [2] r & dia [2] ~r)", agents=2)
+    assert default_world_bound(goal) == 3
+    assert decide_by_enumeration(goal, agents=2) == ValidUpToBound(3, 3)
+    found = decide_by_enumeration(goal, agents=2, max_worlds=4)
+    assert isinstance(found, CounterModel)
+    assert len(found.model.worlds) == 4
+    assert check_frame(found.model, agents=2, choices=0).ok
+    assert not evaluate(found.model, found.world, goal)
 
 
 # ---------------------------------------------------------------------------
