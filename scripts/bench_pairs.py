@@ -137,6 +137,13 @@ def spread(values: list[float]) -> dict:
             "q3": quartiles[2], "runs": values}
 
 
+def change_better(side: dict[str, list[float]], better: str) -> int:
+    """In how many pairs the change's value is better, ties counting for
+    neither side."""
+    lower = better == "lower"
+    return sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
+
+
 def summary(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median and quartiles, the change of the
     median in percent, and the pairs in which the change is better."""
@@ -148,11 +155,8 @@ def summary(runs: list[dict], better: dict[str, str]) -> dict:
         if base:
             entry["median_change_pct"] = 100 * (entry["change"]["median"] - base) / base
         if name in better:
-            lower = better[name] == "lower"
             entry["better"] = better[name]
-            entry["change_better_pairs"] = sum(
-                (c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"])
-            )
+            entry["change_better_pairs"] = change_better(side, better[name])
         out[name] = entry
     return out
 
@@ -190,10 +194,11 @@ def _load(name: str, path: Path, package: Path | None = None):
     return module
 
 
-def load_harnesses(paths: dict[str, Path]) -> dict:
-    """Each side's ``perfbench/harness.py``, importing that side's package,
-    renamed, as ``stitprover``; both use the change's ``workloads``.  The
-    entries this borrows in ``sys.modules`` are put back."""
+def load_harnesses(paths: dict[str, Path]) -> tuple:
+    """The change's ``perfbench/workloads.py``, and each side's
+    ``perfbench/harness.py`` importing that side's package, renamed, as
+    ``stitprover``.  The entries this borrows in ``sys.modules`` are put
+    back."""
     borrowed = {name: sys.modules.get(name) for name in ("stitprover", "workloads")}
     harnesses = {}
     try:
@@ -212,7 +217,7 @@ def load_harnesses(paths: dict[str, Path]) -> dict:
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = module
-    return {"workloads": workloads, **harnesses}
+    return workloads, harnesses
 
 
 # The figures of one interleaved pass that are not layer busy times.
@@ -238,16 +243,15 @@ def traced_pass(harness, goals) -> tuple[dict[str, float], list[str]]:
     return figures, [o.failure for o in outcomes if o.failure is not None]
 
 
-def interleave(loaded: dict, workload: str, seed: int, passes: int) -> dict:
-    """``passes`` traced passes a side of one workload, in this process,
+def interleave(goals: list, harnesses: dict, passes: int) -> dict:
+    """``passes`` traced passes a side of ``goals``, in this process,
     alternating which side goes first; per figure, each side's first, best
     and median pass and the share of passes the change wins."""
-    goals = loaded["workloads"].WORKLOADS[workload](seed)
     figures = {side: [] for side in SIDES}
     failures = {side: [] for side in SIDES}
     for index in range(passes):
         for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-            ran, failed = traced_pass(loaded[side], goals)
+            ran, failed = traced_pass(harnesses[side], goals)
             figures[side].append(ran)
             failures[side] += failed
         print(f"  pass {index}: " + ", ".join(
@@ -267,11 +271,7 @@ def interleave(loaded: dict, workload: str, seed: int, passes: int) -> dict:
         base = entry["parent"]["median"]
         if base:
             entry["median_change_pct"] = 100 * (entry["change"]["median"] - base) / base
-        wins = sum(
-            (c < p) if better == "lower" else (c > p)
-            for p, c in zip(side["parent"], side["change"])
-        )
-        entry["change_wins_share"] = wins / passes
+        entry["change_wins_share"] = change_better(side, better) / passes
         out[name] = entry
     return {"passes": passes, "operations_per_pass": len(goals),
             "failed_operations": {s: len(failures[s]) for s in SIDES},
@@ -328,13 +328,12 @@ def main(argv=None) -> int:
             "runs": runs,
         }
     if args.passes and args.workload:
-        loaded = load_harnesses(paths)
+        workloads, harnesses = load_harnesses(paths)
         report["interleaved"] = {}
         for workload in args.workload:
             print(f"{workload}, interleaved:", file=sys.stderr)
-            report["interleaved"][workload] = interleave(
-                loaded, workload, args.seed, args.passes
-            )
+            goals = workloads.WORKLOADS[workload](args.seed)
+            report["interleaved"][workload] = interleave(goals, harnesses, args.passes)
     if args.sweep_pairs:
         print("sweep:", file=sys.stderr)
         runs = in_pairs(args.sweep_pairs, sweep_run, paths)

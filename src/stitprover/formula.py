@@ -74,7 +74,7 @@ class _Binary(_Node):
         _set_right(self, right)
         try:
             key = (type(self), left._hash, right._hash)
-        except AttributeError:  # an operand no walk takes: see `_fold`
+        except AttributeError:  # not a formula, which every walk refuses
             key = (type(self), left, right)
         _set_hash(self, hash(key))
 
@@ -180,10 +180,11 @@ def _show_fields(f: _Node) -> str:
         if type(g) is _Text:
             parts.append(g)
         elif isinstance(g, _Node):
-            todo.append(_Text(")"))
-            for i, name in reversed(list(enumerate(g.__match_args__))):
-                todo += (getattr(g, name), _Text(f"{', ' if i else ''}{name}="))
-            todo.append(_Text(f"{type(g).__name__}("))
+            items = [_Text(f"{type(g).__name__}(")]
+            for i, name in enumerate(g.__match_args__):
+                items += (_Text(f"{', ' if i else ''}{name}="), getattr(g, name))
+            items.append(_Text(")"))
+            todo += reversed(items)
         else:
             parts.append(repr(g))
     return "".join(parts)

@@ -220,6 +220,9 @@ def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
     return _sequent_from_json(obj, agents, {})
 
 
+_SEQUENT_KEYS = frozenset({"rel", "forms"})
+
+
 def _sequent_from_json(
     obj: dict, agents: int, parsed: dict[str, Formula]
 ) -> LabelledSequent:
@@ -238,9 +241,6 @@ def _sequent_from_json(
         if not 1 <= atom.agent <= agents:
             raise ValueError(f"agent index {atom.agent} out of range 1..{agents}")
     return LabelledSequent(rel, forms)
-
-
-_SEQUENT_KEYS = frozenset({"rel", "forms"})
 
 
 def _formula_of(text: Any, agents: int, parsed: dict[str, Formula]) -> Formula:
