@@ -19,8 +19,9 @@ prints "not proved valid" then);
 rejected evidence;
 2 usage or input error (a certificate nested too deeply to read included);
 3 internal invariant failure, search cap, or a certificate nested too
-deeply to write (the one Python recursion limit left: the search itself
-keeps its own stack, so nested case splits cannot reach it).
+deeply to write (only a certificate's JSON, read and written by recursion,
+reaches Python's recursion limit; a goal is limited by
+``formula.MAX_NODES``, memory and time only).
 """
 
 from __future__ import annotations

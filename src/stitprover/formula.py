@@ -199,6 +199,9 @@ RESERVED_ATOM = "$const"
 
 TRUE = Or(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
 FALSE = And(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
+# Where every negation starts: `TRUE` and `FALSE` negate to each other, not
+# to mirror images, so that `!true` reads back from its printed text.
+_NEGATED = {id(TRUE): FALSE, id(FALSE): TRUE}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ FALSE = And(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
 
 def negate(f: Formula) -> Formula:
     """Negation by duality: an involution that keeps formulas in NNF."""
-    return _fold(f, lambda g: _DUAL[type(g)](g.name), _negate_connective)
+    return _negate(f, dict(_NEGATED))
 
 
 _DUAL = {
@@ -217,11 +220,38 @@ _DUAL = {
 }
 
 
-def _negate_connective(g: Formula, operands: list[Formula]) -> Formula:
-    dual = _DUAL[type(g)]
-    if dual is AgBox or dual is AgDia:
-        return dual(g.agent, operands[0])
-    return dual(*operands)
+def _negate(f: Formula, done: dict[int, Formula]) -> Formula:
+    """The negation of ``f``, on an explicit stack.  ``done`` maps the id of
+    each node negated so far to its negation and back, holding both, so a
+    shared node is negated once and a negation negates back to its node:
+    `parse` passes one ``done`` to all the negations of one text."""
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if id(g) in done:
+            todo.pop()
+            continue
+        cls = type(g)
+        if cls is Atom or cls is NegAtom:
+            dual = _DUAL[cls](g.name)
+        elif cls is And or cls is Or:
+            left, right = done.get(id(g.left)), done.get(id(g.right))
+            if left is None or right is None:
+                todo += (g.right, g.left)
+                continue
+            dual = _DUAL[cls](left, right)
+        elif cls in _MODAL:
+            body = done.get(id(g.body))
+            if body is None:
+                todo.append(g.body)
+                continue
+            dual = _DUAL[cls]
+            dual = dual(g.agent, body) if isinstance(g, _Agentive) else dual(body)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        todo.pop()
+        done[id(g)], done[id(dual)] = dual, g
+    return done[id(f)]
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -354,8 +384,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
+def _tokenize(text: str) -> list[tuple[str | None, int]]:
+    tokens: list[tuple[str | None, int]] = []
     for m in _TOKEN_RE.finditer(text):
         tok = m.group(1)
         if tok is None:
@@ -363,170 +393,128 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
                 f"unexpected character {m.group(2)!r} at position {m.start(2)}"
             )
         tokens.append((tok, m.start(1)))
+    tokens.append((None, len(text)))
     return tokens
 
 
-# The deepest formula `parse` builds, and the most parentheses and prefix
-# operators it reads open at once.  Only the parser recurses, once per open
-# parenthesis or operator; `hash`, `==` and every walk over a formula run
-# in constant stack, so a deeper formula built by hand is fine.  This keeps
-# the parser well inside Python's default recursion limit of 1000.
-MAX_NESTING = 100
-
-# The most nodes (subformula occurrences) of a formula `parse` builds.  Each
-# `<->` copies both of its operands twice, so a chain of them doubles the
-# syntax tree per link, and negating or printing it walks every node; the
-# parser counts the nodes before it builds.
+# The most nodes (subformula occurrences) of a formula `parse` builds: the
+# one limit on its input.  Each `<->` copies both of its operands twice, so a
+# chain of them doubles the syntax tree per link, and printing it walks every
+# node; the parser counts the nodes before it builds.  Depth is limited by
+# memory only, since the parser and every walk over a formula keep their own
+# stacks, and a deep goal by the search's time.
 MAX_NODES = 10_000
 
+# The binding power of each binary operator: read after an operand, it
+# reduces every pending operator of at least its power (of more, for the
+# right-associative `->`); any other token reduces all down to the innermost
+# open parenthesis, of power 0.  A prefix operator, of power 5, binds tightest.
+_POWER = {"<->": 1, "->": 2, "|": 3, "&": 4}
+_PREFIXES = frozenset({"(", "!", "box", "dia", "[", "<"})
+_BUILD = {"&": And, "|": Or, "box": Box, "dia": Dia, "[": AgBox, "<": AgDia}
 
-class _Parser:
-    """Recursive descent; every rule returns a formula with its depth and
-    node count."""
 
-    def __init__(self, text: str, agents: int):
-        self.agents = agents
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.open = 0
+def _take(tokens: list, i: int, want: str | None = None) -> tuple[str, int]:
+    """The token at ``i`` and its position; it must be ``want`` if given."""
+    tok, at = tokens[i]
+    if tok is None:
+        raise ParseError("unexpected end of input")
+    if want is not None and tok != want:
+        raise ParseError(f"expected {want!r} but found {tok!r} at position {at}")
+    return tok, at
 
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
 
-    def next(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, at = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r} but found {tok!r} at position {at}")
-
-    def enter(self, at: int) -> None:
-        """Open one more parenthesis or prefix operator; the caller closes
-        it by decrementing ``open`` once the nested rule returns."""
-        if self.open == MAX_NESTING:
-            raise ParseError(
-                f"more than {MAX_NESTING} nested parentheses and operators "
-                f"at position {at}"
-            )
-        self.open += 1
-
-    def measured(self, d: int, n: int, at: int) -> tuple[int, int]:
-        """Admit the depth and node count of a formula about to be built."""
-        if d > MAX_NESTING:
-            raise ParseError(f"formula deeper than {MAX_NESTING} at position {at}")
-        if n > MAX_NODES:
-            raise ParseError(f"formula of over {MAX_NODES} nodes at position {at}")
-        return d, n
-
-    def formula(self) -> tuple[Formula, int, int]:
-        f, d, n = self.imp()
-        while self.peek() == "<->":
-            _, at = self.next()
-            g, e, m = self.imp()
-            d, n = self.measured(2 + max(d, e), 3 + 2 * (n + m), at)
-            f = iff(f, g)
-        return f, d, n
-
-    def imp(self) -> tuple[Formula, int, int]:
-        f, d, n = self.disj()
-        if self.peek() == "->":
-            _, at = self.next()
-            self.enter(at)
-            g, e, m = self.imp()
-            self.open -= 1
-            d, n = self.measured(1 + max(d, e), 1 + n + m, at)
-            return implies(f, g), d, n
-        return f, d, n
-
-    def disj(self) -> tuple[Formula, int, int]:
-        f, d, n = self.conj()
-        while self.peek() == "|":
-            _, at = self.next()
-            g, e, m = self.conj()
-            d, n = self.measured(1 + max(d, e), 1 + n + m, at)
-            f = Or(f, g)
-        return f, d, n
-
-    def conj(self) -> tuple[Formula, int, int]:
-        f, d, n = self.unary()
-        while self.peek() == "&":
-            _, at = self.next()
-            g, e, m = self.unary()
-            d, n = self.measured(1 + max(d, e), 1 + n + m, at)
-            f = And(f, g)
-        return f, d, n
-
-    def unary(self) -> tuple[Formula, int, int]:
-        tok, at = self.next()
-        if tok == "~":
-            name, at = self.next()
-            if not name[0].isalpha() and name[0] != "_" or name in _KEYWORDS:
-                raise ParseError(f"expected an atom after '~' at position {at}")
-            return NegAtom(name), 0, 1
-        if tok == "true":
-            return TRUE, 1, 3
-        if tok == "false":
-            return FALSE, 1, 3
-        if tok == "(":
-            self.enter(at)
-            f, d, n = self.formula()
-            self.expect(")")
-            self.open -= 1
-            return f, d, n
-        if (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
-            return Atom(tok), 0, 1
-        if tok in ("[", "<"):
-            agent = self.agent_index()
-            self.expect("]" if tok == "[" else ">")
-        elif tok not in ("!", "box", "dia"):
-            raise ParseError(f"unexpected token {tok!r} at position {at}")
-        self.enter(at)
-        body, d, n = self.unary()
-        self.open -= 1
-        if tok == "!":
-            return negate(body), d, n
-        d, n = self.measured(1 + d, 1 + n, at)
-        if tok == "box":
-            f = Box(body)
-        elif tok == "dia":
-            f = Dia(body)
-        elif tok == "[":
-            f = AgBox(agent, body)
-        else:
-            f = AgDia(agent, body)
-        return f, d, n
-
-    def agent_index(self) -> int:
-        tok, at = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected an agent index at position {at}")
-        agent = int(tok)
-        if not 1 <= agent <= self.agents:
-            raise ParseError(
-                f"agent index {agent} out of range 1..{self.agents} at position {at}"
-            )
-        return agent
+def _reduce(op: tuple, operands: list, done: dict[int, Formula]) -> None:
+    """Apply the pending operator ``op`` to the operand on top of
+    ``operands``, or to the two on top if it is binary, once the node count
+    of what it builds is admitted."""
+    _, tok, at, agent = op
+    right, n = operands.pop()
+    if tok in _POWER:
+        left, m = operands.pop()
+        n = 3 + 2 * (m + n) if tok == "<->" else 1 + m + n
+    elif tok != "!":
+        n += 1
+    if n > MAX_NODES:
+        raise ParseError(f"formula of over {MAX_NODES} nodes at position {at}")
+    if tok == "!":
+        f = _negate(right, done)
+    elif tok == "->":
+        f = Or(_negate(left, done), right)
+    elif tok == "<->":
+        f = And(Or(_negate(left, done), right), Or(_negate(right, done), left))
+    elif tok in _POWER:
+        f = _BUILD[tok](left, right)
+    elif agent:
+        f = _BUILD[tok](agent, right)
+    else:
+        f = _BUILD[tok](right)
+    operands.append((f, n))
 
 
 def parse(text: str, agents: int = 1) -> Formula:
     """Parse surface syntax into an NNF formula over agents ``1..agents``.
 
-    Input nested deeper than ``MAX_NESTING``, or a formula of more than
-    ``MAX_NODES`` nodes, is a `ParseError`.
+    One operator-precedence loop over two explicit stacks: the operands
+    with their node counts, and the pending operators and open parentheses
+    with their positions.  A formula of more than ``MAX_NODES`` nodes is a
+    `ParseError`; nesting is limited by memory only.
     """
-    parser = _Parser(text, agents)
-    f, _, _ = parser.formula()
-    if parser.pos != len(parser.tokens):
-        tok, at = parser.tokens[parser.pos]
-        raise ParseError(f"trailing input {tok!r} at position {at}")
-    return f
+    tokens = _tokenize(text)
+    operands: list[tuple[Formula, int]] = []
+    pending: list[tuple[int, str, int, int]] = []  # power, token, position, agent
+    done = dict(_NEGATED)  # one negation memo for the whole text
+    i = 0
+    while True:
+        # An operand: prefix operators and open parentheses, then a literal.
+        tok, at = _take(tokens, i)
+        i += 1
+        if tok in _PREFIXES:
+            agent = 0
+            if tok == "[" or tok == "<":
+                index, where = _take(tokens, i)
+                if not index.isdigit():
+                    raise ParseError(f"expected an agent index at position {where}")
+                agent = int(index)
+                if not 1 <= agent <= agents:
+                    raise ParseError(
+                        f"agent index {agent} out of range 1..{agents} at position {where}"
+                    )
+                _take(tokens, i + 1, "]" if tok == "[" else ">")
+                i += 2
+            pending.append((0 if tok == "(" else 5, tok, at, agent))
+            continue
+        negated = tok == "~"
+        if negated:
+            tok, at = _take(tokens, i)
+            i += 1
+        if (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
+            operands.append(((NegAtom if negated else Atom)(tok), 1))
+        elif negated:
+            raise ParseError(f"expected an atom after '~' at position {at}")
+        elif tok == "true" or tok == "false":
+            operands.append((TRUE if tok == "true" else FALSE, 3))
+        else:
+            raise ParseError(f"unexpected token {tok!r} at position {at}")
+        # Then reduce, and close each `)`, whose group is an operand too,
+        # up to a binary operator or the end.
+        while True:
+            tok, at = tokens[i]
+            power = _POWER.get(tok)
+            floor = 1 if power is None else power + (tok == "->")
+            while pending and pending[-1][0] >= floor:
+                _reduce(pending.pop(), operands, done)
+            if power is not None:
+                pending.append((power, tok, at, 0))
+                i += 1
+                break
+            if not pending:
+                if tok is None:
+                    return operands[0][0]
+                raise ParseError(f"trailing input {tok!r} at position {at}")
+            _take(tokens, i, ")")
+            pending.pop()
+            i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +566,8 @@ def _show_connective(g: Formula, operands: list[tuple[str, int]]) -> tuple[str, 
 
 def _is_constant(g: And | Or) -> bool:
     """Whether ``g`` joins `$const` and `~$const`, in either order: `TRUE`,
-    `FALSE` or the mirror image `negate` makes of either.  Its operands are
-    formulas, and only literals have a name."""
+    `FALSE` or the mirror image `negate` makes of a copy of either built by
+    hand.  Its operands are formulas, and only literals have a name."""
     left, right = g.left, g.right
     return type(left) is not type(right) and (
         getattr(left, "name", None) == RESERVED_ATOM == getattr(right, "name", None)

@@ -28,6 +28,7 @@ search limit.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -432,9 +433,9 @@ def _reduced_models(
             yield batch, _lane_meets(batch, types, width)
         return
     for shape in itertools.product(range(1, most + 1), repeat=agents):
+        if math.prod(shape) > count:
+            continue  # more blocks than worlds
         picks = list(itertools.product(*map(range, shape)))
-        if len(picks) > count:
-            continue
         for blocks in _blocks(limit, count, len(picks)):
             cells = [[0] * size for size in shape]
             full = 0

@@ -231,11 +231,11 @@ def _sequent_from_json(
         RelAtom(
             _exact(a, int, "agent"), _exact(s, int, "label"), _exact(t, int, "label")
         )
-        for a, s, t in _exact(obj.get("rel", []), list, "rel")
+        for a, s, t in _entries(obj, "rel", 3)
     ]
     forms = [
         LabelledFormula(_exact(w, int, "label"), _formula_of(text, agents, parsed))
-        for w, text in _exact(obj.get("forms", []), list, "forms")
+        for w, text in _entries(obj, "forms", 2)
     ]
     for atom in rel:
         if not 1 <= atom.agent <= agents:
@@ -243,13 +243,23 @@ def _sequent_from_json(
     return LabelledSequent(rel, forms)
 
 
+def _entries(obj: dict, field: str, size: int) -> list:
+    """The array ``obj[field]``, each entry an array of ``size`` values."""
+    entries = _exact(obj.get(field, []), list, field)
+    for entry in entries:
+        if type(entry) is not list or len(entry) != size:
+            _exact(entry, list, f"{field} entry")
+            raise ValueError(f"{field} entry should hold {size} values, not {len(entry)}")
+    return entries
+
+
 def _formula_of(text: Any, agents: int, parsed: dict[str, Formula]) -> Formula:
     """The formula ``text`` reads as, parsed once per ``parsed``: a
     certificate's reader passes one memo to all of its nodes and drops it
     when it returns, so every text it holds equal reads as one object."""
-    f = parsed.get(_exact(text, str, "formula"))
+    f = parsed.get(text) if type(text) is str else None
     if f is None:
-        f = parsed[text] = parse(text, agents)
+        f = parsed[text] = parse(_exact(text, str, "formula"), agents)
     return f
 
 

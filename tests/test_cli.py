@@ -46,11 +46,13 @@ def test_prove_rejects_garbage(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["(" * 1200 + "p" + ")" * 1200, "box " * 1500 + "p"]
+    "text",
+    ["(" * 1200 + "p" + ")" * 1200, "box " * 1500 + "p"],
+    ids=["parentheses", "boxes"],
 )
-def test_prove_rejects_over_deep_input(text, capsys):
-    assert main(["prove", text]) == 2
-    assert "parse error" in capsys.readouterr().err
+def test_prove_takes_input_nested_past_the_recursion_limit(text, capsys):
+    assert main(["prove", text]) == 1
+    assert capsys.readouterr().out.strip() == "unprovable"
 
 
 def test_prove_step_cap_is_an_internal_failure(capsys):
@@ -136,6 +138,18 @@ def _sequent_label_float(blob):
     blob["derivation"]["sequent"]["forms"][0][0] = 0.0
 
 
+def _forms_entry(entry):
+    def edit(blob):
+        blob["derivation"]["sequent"]["forms"] = [entry]
+    return edit
+
+
+def _rel_entry(entry):
+    def edit(blob):
+        blob["derivation"]["sequent"]["rel"] = [entry]
+    return edit
+
+
 def _bogus_certificate_key(blob):
     blob["bogus"] = 1
 
@@ -168,6 +182,10 @@ def _no_rule(blob):
         (_bogus_sequent_key, "sequent has an unknown key 'bogus'"),
         (_bogus_principal_key, "principal has an unknown key 'bogus'"),
         (_no_rule, "derivation lacks the key 'rule'"),
+        (_forms_entry([0]), "forms entry should hold 2 values, not 1"),
+        (_forms_entry(5), "forms entry should be an array, not int"),
+        (_rel_entry(5), "rel entry should be an array, not int"),
+        (_rel_entry([1, 0]), "rel entry should hold 3 values, not 2"),
     ],
 )
 def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, capsys):

@@ -4,7 +4,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stitprover import (
@@ -36,7 +36,6 @@ from stitprover import (
 )
 from stitprover.formula import (
     FALSE,
-    MAX_NESTING,
     MAX_NODES,
     RESERVED_ATOM,
     TRUE,
@@ -96,7 +95,9 @@ def test_negate_is_an_involution(f):
 
 
 def test_negate_constants():
-    # Negation swaps the operands; the printer knows both orientations.
+    # Each negates to the other, not to its mirror image, so that `!true`
+    # reads back from its printed text.
+    assert negate(TRUE) == FALSE and negate(FALSE) == TRUE
     assert pretty(negate(TRUE)) == "false"
     assert pretty(negate(FALSE)) == "true"
 
@@ -126,15 +127,16 @@ def test_subformulae_are_in_pre_order():
 
 
 def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
-    """A 5,000-deep chain of boxes, built without the parser (whose nesting
-    limit refuses it), is walked on an explicit stack, in pre-order, and
-    measured, negated, printed, evaluated and decided the same way.  The
-    negation is compared level by level, by class and agent."""
+    """A 5,000-deep chain of boxes is walked on an explicit stack, in
+    pre-order, and measured, negated, printed, parsed, evaluated and decided
+    the same way.  The negation is compared level by level, by class and
+    agent."""
     f = Atom("p")
     for i in range(5000):
         f = AgBox(2, f) if i % 2 else Box(f)
     prefixes = ("[2] " if i % 2 else "box " for i in reversed(range(5000)))
     assert pretty(f) == "".join(prefixes) + "p"
+    assert parse(pretty(f), agents=2) == f
     cell = frozenset({(0, 0)})
     for truth in (frozenset(), frozenset({0})):
         model = Model(worlds=(0,), rel={1: cell, 2: cell}, val={"p": truth})
@@ -305,19 +307,22 @@ def test_parse_error_is_a_value_error():
     assert issubclass(ParseError, ValueError)
 
 
-N = MAX_NESTING
+DEEP = 2000  # twice Python's default recursion limit
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "box " * N + "p",
-        "(" * N + "p" + ")" * N,
-        "p" + " & p" * N,
-        "p" + " -> p" * N,
+        "box " * DEEP + "p",
+        "box " * DEEP + "(p & q)",
+        "(" * DEEP + "p" + ")" * DEEP,
+        "p" + " & p" * DEEP,
+        "p" + " -> p" * DEEP,
+        "!" * DEEP + "p",
     ],
+    ids=["boxes", "boxes-over-and", "parentheses", "and-chain", "arrow-chain", "nots"],
 )
-def test_formulas_at_the_nesting_limit_survive_recursive_functions(text):
+def test_input_nested_past_the_recursion_limit_parses_and_round_trips(text):
     f = parse(text)
     hash(f)
     assert negate(negate(f)) == f
@@ -325,22 +330,28 @@ def test_formulas_at_the_nesting_limit_survive_recursive_functions(text):
     assert subformulae(f)[0] == f
 
 
+def _conjunction(size: int) -> str:
+    return "(" + " & ".join(["p"] * ((size + 1) // 2)) + ")"
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        "box " * (N + 1) + "p",
-        "box " * N + "(p & q)",
-        "(" * (N + 1) + "p" + ")" * (N + 1),
-        "p" + " & p" * (N + 1),
-        "p" + " -> p" * (N + 1),
-        "!" * (N + 1) + "p",
-        "(" * 1200 + "p" + ")" * 1200,
-        "box " * 1500 + "p",
+        "! box " * 4000 + "p",
+        "!" * 1000 + _conjunction(6000),
+        "(" * 4000 + "p" + " -> p)" * 4000,
     ],
+    ids=["not-box", "not-conjunction", "left-nested-arrows"],
 )
-def test_parse_rejects_input_nested_past_the_limit(text):
-    with pytest.raises(ParseError, match=f"{N}"):
-        parse(text)
+def test_negation_keeps_parsing_linear(text):
+    """Each ``!`` negates all that follows it, and each ``->`` all that
+    comes before it.  A negation of a negation is looked up, not built
+    again, so each input takes well under a second, and not the seconds a
+    fresh negation per operator takes."""
+    start = time.perf_counter()
+    f = parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert parse(pretty(f)) == f
 
 
 def _iff_chain(links: int) -> str:
@@ -392,6 +403,56 @@ def test_pretty_examples(f, text):
 
 @given(formulas(max_agents=2))
 def test_parse_inverts_pretty(f):
+    assert parse(pretty(f), agents=2) == f
+
+
+_TOKENS = (
+    "p", "q", "~p", "~", "&", "|", "->", "<->", "!", "box", "dia", "[1]", "<2>",
+    "[", "]", "<", ">", "(", ")", "true", "false", "1", "$",
+)
+
+# One level of nesting each: the text before and after what it wraps.
+_WRAPS = (
+    ("box ", ""), ("dia ", ""), ("! ", ""), ("[1] ", ""), ("<2> ", ""), ("(", ")"),
+    ("(p & ", ")"), ("(", " | ~q)"), ("(", " -> q)"), ("(q -> ", ")"), ("(", " <-> p)"),
+)
+
+
+@st.composite
+def _parser_inputs(draw):
+    """Text from the grammar, wrapped up to thousands of levels deep by
+    runs of one wrapper each, and then perhaps one token dropped, added or
+    replaced; or a run-length string of any tokens."""
+    if draw(st.booleans()):
+        runs = draw(st.lists(
+            st.tuples(st.sampled_from(_TOKENS), st.integers(1, 3) | st.integers(1, 3000)),
+            max_size=12,
+        ))
+        return " ".join(" ".join([tok] * n) for tok, n in runs)
+    text = draw(st.sampled_from(("p", "~q", "true", "false")))
+    for (before, after), n in draw(st.lists(
+        st.tuples(st.sampled_from(_WRAPS), st.integers(1, 4) | st.integers(1, 3000)),
+        max_size=6,
+    )):
+        text = before * n + text + after * n
+    tokens = text.replace("(", "( ").replace(")", " )").split()
+    at = draw(st.integers(0, len(tokens)))
+    edit = draw(st.sampled_from(("keep", "keep", "keep", "drop", "add", "replace")))
+    if edit != "keep":
+        token = [draw(st.sampled_from(_TOKENS))] if edit != "drop" else []
+        tokens[at:at + (edit != "add")] = token
+    return " ".join(tokens)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_parser_inputs())
+def test_parse_raises_only_parse_error_and_inverts_pretty(text):
+    """Whatever the text, `parse` raises `ParseError` and nothing else, or
+    gives a formula that reads back from its printed text."""
+    try:
+        f = parse(text, agents=2)
+    except ParseError:
+        return
     assert parse(pretty(f), agents=2) == f
 
 

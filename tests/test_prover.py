@@ -49,7 +49,6 @@ from stitprover import (
     prove,
 )
 from stitprover import prover
-from stitprover.formula import MAX_NESTING
 
 P, Q = Atom("p"), Atom("q")
 NP = NegAtom("p")
@@ -573,13 +572,13 @@ def test_a_600_way_disjunction_is_refuted_in_seconds():
     assert elapsed < 5.0
 
 
-def test_a_box_tower_at_the_nesting_limit_is_decided_in_under_a_second():
-    """``box^100 p``, as deep as the parser allows: one fresh label a step."""
-    goal = parse("box " * MAX_NESTING + "p")
+def test_a_tower_of_100_boxes_is_decided_in_under_a_second():
+    """``box^100 p``: one fresh label a step."""
+    goal = parse("box " * 100 + "p")
     start = time.perf_counter()
     result = prove(ProverConfig(choices=0), goal)
     elapsed = time.perf_counter() - start
     assert isinstance(result, Unprovable)
-    assert result.stats.steps == MAX_NESTING
-    assert result.stats.max_labels == MAX_NESTING + 1
+    assert result.stats.steps == 100
+    assert result.stats.max_labels == 101
     assert elapsed < 1.0

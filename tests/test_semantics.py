@@ -1,6 +1,7 @@
 """Tests for models: frame checking, evaluation, extraction, enumeration."""
 
 import itertools
+import time
 
 import pytest
 from raw_models import enumerate_models
@@ -456,6 +457,48 @@ def test_the_oracle_claims_no_validity_for_a_two_agent_goal_it_cannot_prove():
     assert len(found.model.worlds) == 4
     assert check_frame(found.model, agents=2, choices=0).ok
     assert not evaluate(found.model, found.world, goal)
+
+
+def test_the_oracle_skips_a_shape_of_cells_before_listing_its_blocks():
+    """With 16 agents, most shapes of cells have more blocks than the bound
+    of 2 worlds; they are skipped before their blocks are listed, so the
+    goal is decided in well under a second.  At 3 agents the counter-model
+    above is still the one found: a block per cell of agents 1 and 2."""
+    start = time.perf_counter()
+    assert decide_by_enumeration(parse("box p | dia ~p"), agents=16) == Valid(bound=2)
+    assert time.perf_counter() - start < 1.0
+    goal = parse("!([1] p & dia [1] ~p & [2] r & dia [2] ~r)", agents=3)
+    found = decide_by_enumeration(goal, agents=3, max_worlds=4)
+    assert isinstance(found, CounterModel) and found.world == 3
+    assert found.model.worlds == (0, 1, 2, 3)
+    assert found.model.rel == {
+        1: cells_to_rel({0, 1}, {2, 3}),
+        2: cells_to_rel({0, 2}, {1, 3}),
+        3: cells_to_rel({0, 1, 2, 3}),
+    }
+    assert found.model.val == {"p": frozenset({2, 3}), "r": frozenset({1, 3})}
+
+
+def test_no_two_agent_verdict_changes_two_worlds_past_the_default_bound():
+    """Of the goals of up to three connectives over p, q that mention both
+    agents, those with no counter-model up to the default bound, which has
+    no completeness proof for two agents, have none at that bound + 2
+    either."""
+    goals = [
+        g for g in enumerate_formulas(3, ("p", "q"), agents=2) if agents_of(g) == {1, 2}
+    ]
+    unrefuted = [
+        g for g in goals
+        if isinstance(decide_by_enumeration(g, agents=2), ValidUpToBound)
+    ]
+    refuted_later = [
+        g for g in unrefuted
+        if isinstance(
+            decide_by_enumeration(g, agents=2, max_worlds=default_world_bound(g) + 2),
+            CounterModel,
+        )
+    ]
+    assert (len(goals), len(unrefuted), len(refuted_later)) == (1952, 88, 0)
 
 
 # ---------------------------------------------------------------------------
