@@ -307,6 +307,26 @@ def test_parse_error_is_a_value_error():
     assert issubclass(ParseError, ValueError)
 
 
+N = 100  # the parser's nesting limit while it recursed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "box " * N + "p",
+        "(" * N + "p" + ")" * N,
+        "p" + " & p" * N,
+        "p" + " -> p" * N,
+    ],
+)
+def test_formulas_at_the_nesting_limit_survive_recursive_functions(text):
+    f = parse(text)
+    hash(f)
+    assert negate(negate(f)) == f
+    assert parse(pretty(f)) == f
+    assert subformulae(f)[0] == f
+
+
 DEEP = 2000  # twice Python's default recursion limit
 
 
