@@ -27,7 +27,9 @@ side, alternating which side goes first.  These are the benchmark's own
 layer calls and checks, so a failed check fails the operation there too.
 Per layer (the traced busy time), per pass wall time, ``runs_per_s`` and
 ``verdict_ms_p50`` it reports each side's first, best and median pass and
-the share of passes the change wins.  A side's first pass far slower than
+the share of passes the change wins, and after each workload's passes it
+prints one line a figure: both medians, the median change in percent and
+the passes the change won.  A side's first pass far slower than
 its median one flags a cache that outlives a pass.  ``--pairs 0`` skips
 the process-level pairs.
 
@@ -271,8 +273,13 @@ def interleave(goals: list, harnesses: dict, passes: int) -> dict:
         base = entry["parent"]["median"]
         if base:
             entry["median_change_pct"] = 100 * (entry["change"]["median"] - base) / base
-        entry["change_wins_share"] = change_better(side, better) / passes
+        wins = change_better(side, better)
+        entry["change_wins_share"] = wins / passes
         out[name] = entry
+        pct = f", {entry['median_change_pct']:+.1f} %" if base else ""
+        print(f"  {name}: medians parent {base:.6g}, change "
+              f"{entry['change']['median']:.6g}{pct}, change won {wins} of {passes}",
+              file=sys.stderr)
     return {"passes": passes, "operations_per_pass": len(goals),
             "failed_operations": {s: len(failures[s]) for s in SIDES},
             "first_failures": {s: failures[s][:3] for s in SIDES},

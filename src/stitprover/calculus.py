@@ -48,6 +48,7 @@ from itertools import combinations
 from typing import Any, Mapping, NoReturn, Sequence
 
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
+from .formula import ParseError
 from .formula import agents_of, pretty
 from .sequent import (
     Label,
@@ -455,40 +456,69 @@ def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
     """Read a certificate.  Labels, agents, ``m`` and ``n`` must be ints, and
     atoms and formulas strings, exactly: nothing is coerced.  An object
     that lacks a key the writer always writes, or holds one it never
-    writes, is refused.  Each distinct formula text is parsed once, and
-    every occurrence of it reads as that one formula object."""
-    _keys(_exact(obj, dict, "certificate"), "certificate",
-          _CERTIFICATE_KEYS, frozenset(_CERTIFICATE_KEYS))
+    writes, is refused.  A refusal names what it refuses by its JSON path,
+    as ``derivation.premises[0].sequent.forms[3]``.  Each distinct formula
+    text is parsed once, and every occurrence of it reads as that one
+    formula object."""
+    _keys(_exact(obj, dict, "certificate"), _CERTIFICATE_KEYS,
+          frozenset(_CERTIFICATE_KEYS), "certificate")
     cfg = CalculusConfig(
         agents=_exact(obj["m"], int, "m"),
         choices=_exact(obj["n"], int, "n"),
-        mode=Mode(obj["mode"]),
+        mode=_enum(Mode, obj["mode"], "mode"),
     )
     return cfg, _node_from_json(obj["derivation"], cfg.agents, "derivation", {})
 
 
 def _node_from_json(
-    obj: dict, agents: int, field: str, parsed: dict[str, Formula]
+    obj: dict, agents: int, path: str, parsed: dict[str, Formula]
 ) -> Derivation:
-    _keys(_exact(obj, dict, field), field, _NODE_KEYS, _KNOWN_NODE_KEYS)
+    """The node ``obj`` at the JSON path ``path``, which names it in a
+    refusal; a field's name or an entry's index is added only then.  It
+    calls itself for each premise from a loop, one frame a level."""
+    _keys(_exact(obj, dict, path), _NODE_KEYS, _KNOWN_NODE_KEYS, path)
+    conclusion = _sequent_from_json(obj["sequent"], agents, parsed, path, ".sequent")
+    rule = _enum(RuleTag, obj["rule"], path, ".rule")
+    principal = _principal_from_json(obj.get("principal", {}), agents, path, parsed)
+    premises = []
+    for i, p in enumerate(_exact(obj.get("premises", []), list, path, ".premises")):
+        premises.append(_node_from_json(p, agents, f"{path}.premises[{i}]", parsed))
+    return Derivation(conclusion, rule, principal, tuple(premises))
+
+
+def _principal_from_json(
+    given: dict, agents: int, path: str, parsed: dict[str, Formula]
+) -> dict[str, Any]:
+    _keys(_exact(given, dict, path, ".principal"), (), _PRINCIPAL_KEYS, path, ".principal")
     principal: dict[str, Any] = {}
-    given = _exact(obj.get("principal", {}), dict, "principal")
-    for key, value in _keys(given, "principal", (), _PRINCIPAL_KEYS).items():
+    for key, value in given.items():
         if key in _FORMULA_KEYS:
-            principal[key] = _formula_of(value, agents, parsed)
+            text = _exact(value, str, path, ".principal.", key)
+            try:
+                principal[key] = _formula_of(text, agents, parsed)
+            except ParseError as err:
+                raise ValueError(f"{path}.principal.{key}: {err}") from None
         elif key in _TUPLE_KEYS:
-            items = _exact(value, list, key)
-            principal[key] = tuple(_exact(x, int, key) for x in items)
+            items = _exact(value, list, path, ".principal.", key)
+            for item in items:
+                if type(item) is not int:
+                    at = next(i for i, x in enumerate(items) if x is item)
+                    _exact(item, int, f"{path}.principal.{key}[{at}]")
+            principal[key] = tuple(items)
         elif key == "atom":
-            principal[key] = _exact(value, str, key)
+            principal[key] = _exact(value, str, path, ".principal.", key)
         else:
-            principal[key] = _exact(value, int, key)
-    return Derivation(
-        conclusion=_sequent_from_json(obj["sequent"], agents, parsed),
-        rule=RuleTag(obj["rule"]),
-        principal=principal,
-        premises=tuple(
-            _node_from_json(p, agents, "premise", parsed)
-            for p in _exact(obj.get("premises", []), list, "premises")
-        ),
-    )
+            principal[key] = _exact(value, int, path, ".principal.", key)
+    return principal
+
+
+def _enum(kind: type[Enum], value: Any, *field: str) -> Any:
+    """The member of ``kind`` whose value is the string ``value``;
+    otherwise a ``ValueError`` naming the field by its parts, joined."""
+    member = _MEMBERS[kind].get(value) if type(value) is str else None
+    if member is None:
+        raise ValueError(f"{''.join(field)} names no {kind.__name__}: {value!r}")
+    return member
+
+
+_MEMBERS = {kind: {m.value: m for m in kind} for kind in (Mode, RuleTag)}

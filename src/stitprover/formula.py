@@ -10,6 +10,7 @@ parse time.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import FrozenInstanceError
 from typing import Callable, TypeVar, Union
 
@@ -19,14 +20,13 @@ from typing import Callable, TypeVar, Union
 
 
 class _Node:
-    """The base of the eight formula classes.  A formula is immutable and
-    compared by structure, like a frozen dataclass, and it is hashed once,
-    at construction, from its class and its fields' hashes: a child's hash
-    is the one it stored, so `hash` takes constant time at any depth.
-    ``==`` is identity, or else equal classes and hashes and then equal
-    fields, compared on an explicit stack."""
+    """The base of the eight formula classes.  A formula is immutable, and
+    one object: each shape's constructor returns the live node of its class
+    and fields from `_TABLE`, or fills a new node's slots once and enters
+    it there.  So structurally equal formulas are one object, and ``==``
+    and `hash` are `object`'s, constant time at any depth."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -34,20 +34,8 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, _Node):
-            return NotImplemented
-        if type(other) is not type(self) or other._hash != self._hash:
-            return False
-        return _same_fields(self, other)
-
     def __reduce__(self) -> tuple:
-        return type(self), tuple(_fields(self))
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self) -> str:
         return _show_fields(self)
@@ -56,59 +44,94 @@ class _Node:
         return pretty(self)
 
 
+class _Entry(weakref.ref):
+    """A weak reference to a live node that carries the node's key, so that
+    its callback, `_drop`, can remove it from `_TABLE` when the node dies."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    # A cyclic collection runs the callback late, after a new node may have
+    # taken the key.
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+# Every live formula, under its class and its fields.  It keeps no formula
+# alive: a node's entry goes when the node does.  Finding and entering a
+# node are two steps, so formulas are built on one thread at a time.
+_TABLE: dict[tuple, _Entry] = {}
+# A reference whose object is gone, so calling it gives `None`: what a
+# constructor finds under a key no live node holds.
+_GONE = weakref.ref(set())
+_new = object.__new__
+
+
 class _Literal(_Node):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_hash(self, hash((type(self), name)))
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _TABLE.get(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set_name(node, name)
+            entry = _TABLE[key] = _Entry(node, _drop)
+            entry.key = key
+        return node
 
 
 class _Binary(_Node):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left: "Formula", right: "Formula"):
-        _set_left(self, left)
-        _set_right(self, right)
-        try:
-            key = (type(self), left._hash, right._hash)
-        except AttributeError:  # not a formula, which every walk refuses
-            key = (type(self), left, right)
-        _set_hash(self, hash(key))
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (cls, left, right)
+        node = _TABLE.get(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+            entry = _TABLE[key] = _Entry(node, _drop)
+            entry.key = key
+        return node
 
 
 class _Modal(_Node):
     __slots__ = ("body",)
     __match_args__ = ("body",)
 
-    def __init__(self, body: "Formula"):
-        _set_body(self, body)
-        try:
-            key = (type(self), body._hash)
-        except AttributeError:
-            key = (type(self), body)
-        _set_hash(self, hash(key))
+    def __new__(cls, body: "Formula"):
+        key = (cls, body)
+        node = _TABLE.get(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set_body(node, body)
+            entry = _TABLE[key] = _Entry(node, _drop)
+            entry.key = key
+        return node
 
 
 class _Agentive(_Modal):
     __slots__ = ("agent",)
     __match_args__ = ("agent", "body")
 
-    def __init__(self, agent: int, body: "Formula"):
-        _set_agent(self, agent)
-        _set_body(self, body)
-        try:
-            key = (type(self), agent, body._hash)
-        except AttributeError:
-            key = (type(self), agent, body)
-        _set_hash(self, hash(key))
+    def __new__(cls, agent: int, body: "Formula"):
+        key = (cls, agent, body)
+        node = _TABLE.get(key, _GONE)()
+        if node is None:
+            node = _new(cls)
+            _set_agent(node, agent)
+            _set_body(node, body)
+            entry = _TABLE[key] = _Entry(node, _drop)
+            entry.key = key
+        return node
 
 
-# The slots' own setters: the constructors set each field once through
-# them, past the `__setattr__` that refuses every later assignment.
-_set_hash = _Node._hash.__set__
+# The slots' own setters: a constructor sets each field of a new node once
+# through them, past the `__setattr__` that refuses every assignment.
 _set_name = _Literal.name.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 _set_body, _set_agent = _Modal.body.__set__, _Agentive.agent.__set__
@@ -144,27 +167,6 @@ class AgBox(_Agentive):
 
 class AgDia(_Agentive):
     __slots__ = ()
-
-
-def _same_fields(f: _Node, g: _Node) -> bool:
-    """Whether two formulas of one class and hash have equal fields, all the
-    way down, on an explicit stack."""
-    todo = list(zip(_fields(f), _fields(g)))
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if isinstance(a, _Node):
-            if type(b) is not type(a) or b._hash != a._hash:
-                return False
-            todo += zip(_fields(a), _fields(b))
-        elif a != b:
-            return False
-    return True
-
-
-def _fields(f: _Node) -> list:
-    return [getattr(f, name) for name in f.__match_args__]
 
 
 class _Text(str):
@@ -376,25 +378,29 @@ class ParseError(ValueError):
 
 _KEYWORDS = frozenset({"box", "dia", "true", "false"})
 
-# One token after any whitespace, or the first character no token starts
-# with (group 2).  Only whitespace is ever skipped: a non-space character
-# matches one group or the other.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(<->|->|[()\[\]<>&|!~]|\d+|[A-Za-z_][A-Za-z0-9_]*)|(\S))"
-)
+# The tokens, in the order they are tried, and a character no token takes:
+# one that starts none, or a `-` that starts no `->`.  With no such
+# character in the text, every non-space character is in a token.
+_TOKEN_RE = re.compile(r"<->|->|[()\[\]<>&|!~]|\d+|[A-Za-z_][A-Za-z0-9_]*")
+_UNTAKEN_RE = re.compile(r"[^\sA-Za-z0-9_()\[\]<>&|!~-]|-(?!>)")
 
 
-def _tokenize(text: str) -> list[tuple[str | None, int]]:
-    tokens: list[tuple[str | None, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(1)
-        if tok is None:
-            raise ParseError(
-                f"unexpected character {m.group(2)!r} at position {m.start(2)}"
-            )
-        tokens.append((tok, m.start(1)))
-    tokens.append((None, len(text)))
-    return tokens
+def _tokenize(text: str) -> list[str | None]:
+    """The tokens of ``text``, then `None` for its end.  Positions are
+    worked out by `_at`, for an error message only."""
+    untaken = _UNTAKEN_RE.search(text)
+    if untaken is not None:
+        raise ParseError(
+            f"unexpected character {untaken.group()!r} at position {untaken.start()}"
+        )
+    return _TOKEN_RE.findall(text) + [None]
+
+
+def _at(text: str, i: int) -> int:
+    """The position in ``text`` of its token ``i``, or its length if ``i``
+    is its end."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return starts[i] if i < len(starts) else len(text)
 
 
 # The most nodes (subformula occurrences) of a formula `parse` builds: the
@@ -414,21 +420,21 @@ _PREFIXES = frozenset({"(", "!", "box", "dia", "[", "<"})
 _BUILD = {"&": And, "|": Or, "box": Box, "dia": Dia, "[": AgBox, "<": AgDia}
 
 
-def _take(tokens: list, i: int, want: str | None = None) -> tuple[str, int]:
-    """The token at ``i`` and its position; it must be ``want`` if given."""
-    tok, at = tokens[i]
+def _take(text: str, tokens: list, i: int, want: str | None = None) -> str:
+    """Token ``i`` of ``text``; it must be ``want`` if given."""
+    tok = tokens[i]
     if tok is None:
         raise ParseError("unexpected end of input")
     if want is not None and tok != want:
-        raise ParseError(f"expected {want!r} but found {tok!r} at position {at}")
-    return tok, at
+        raise ParseError(f"expected {want!r} but found {tok!r} at position {_at(text, i)}")
+    return tok
 
 
-def _reduce(op: tuple, operands: list, done: dict[int, Formula]) -> None:
-    """Apply the pending operator ``op`` to the operand on top of
-    ``operands``, or to the two on top if it is binary, once the node count
-    of what it builds is admitted."""
-    _, tok, at, agent = op
+def _reduce(text: str, op: tuple, operands: list, done: dict[int, Formula]) -> None:
+    """Apply the pending operator ``op`` of ``text`` to the operand on top
+    of ``operands``, or to the two on top if it is binary, once the node
+    count of what it builds is admitted."""
+    _, tok, i, agent = op
     right, n = operands.pop()
     if tok in _POWER:
         left, m = operands.pop()
@@ -436,7 +442,7 @@ def _reduce(op: tuple, operands: list, done: dict[int, Formula]) -> None:
     elif tok != "!":
         n += 1
     if n > MAX_NODES:
-        raise ParseError(f"formula of over {MAX_NODES} nodes at position {at}")
+        raise ParseError(f"formula of over {MAX_NODES} nodes at position {_at(text, i)}")
     if tok == "!":
         f = _negate(right, done)
     elif tok == "->":
@@ -457,62 +463,61 @@ def parse(text: str, agents: int = 1) -> Formula:
 
     One operator-precedence loop over two explicit stacks: the operands
     with their node counts, and the pending operators and open parentheses
-    with their positions.  A formula of more than ``MAX_NODES`` nodes is a
+    with their token indices.  A formula of more than ``MAX_NODES`` nodes is a
     `ParseError`; nesting is limited by memory only.
     """
     tokens = _tokenize(text)
     operands: list[tuple[Formula, int]] = []
-    pending: list[tuple[int, str, int, int]] = []  # power, token, position, agent
+    pending: list[tuple[int, str, int, int]] = []  # power, token, its index, agent
     done = dict(_NEGATED)  # one negation memo for the whole text
     i = 0
     while True:
         # An operand: prefix operators and open parentheses, then a literal.
-        tok, at = _take(tokens, i)
-        i += 1
+        tok = _take(text, tokens, i)
         if tok in _PREFIXES:
             agent = 0
             if tok == "[" or tok == "<":
-                index, where = _take(tokens, i)
+                index = _take(text, tokens, i + 1)
                 if not index.isdigit():
-                    raise ParseError(f"expected an agent index at position {where}")
+                    raise ParseError(f"expected an agent index at position {_at(text, i + 1)}")
                 agent = int(index)
                 if not 1 <= agent <= agents:
-                    raise ParseError(
-                        f"agent index {agent} out of range 1..{agents} at position {where}"
-                    )
-                _take(tokens, i + 1, "]" if tok == "[" else ">")
-                i += 2
-            pending.append((0 if tok == "(" else 5, tok, at, agent))
+                    raise ParseError(f"agent index {agent} out of range 1..{agents} "
+                                     f"at position {_at(text, i + 1)}")
+                _take(text, tokens, i + 2, "]" if tok == "[" else ">")
+            pending.append((0 if tok == "(" else 5, tok, i, agent))
+            i += 3 if agent else 1
             continue
         negated = tok == "~"
         if negated:
-            tok, at = _take(tokens, i)
             i += 1
+            tok = _take(text, tokens, i)
         if (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
             operands.append(((NegAtom if negated else Atom)(tok), 1))
         elif negated:
-            raise ParseError(f"expected an atom after '~' at position {at}")
+            raise ParseError(f"expected an atom after '~' at position {_at(text, i)}")
         elif tok == "true" or tok == "false":
             operands.append((TRUE if tok == "true" else FALSE, 3))
         else:
-            raise ParseError(f"unexpected token {tok!r} at position {at}")
+            raise ParseError(f"unexpected token {tok!r} at position {_at(text, i)}")
+        i += 1
         # Then reduce, and close each `)`, whose group is an operand too,
         # up to a binary operator or the end.
         while True:
-            tok, at = tokens[i]
+            tok = tokens[i]
             power = _POWER.get(tok)
             floor = 1 if power is None else power + (tok == "->")
             while pending and pending[-1][0] >= floor:
-                _reduce(pending.pop(), operands, done)
+                _reduce(text, pending.pop(), operands, done)
             if power is not None:
-                pending.append((power, tok, at, 0))
+                pending.append((power, tok, i, 0))
                 i += 1
                 break
             if not pending:
                 if tok is None:
                     return operands[0][0]
-                raise ParseError(f"trailing input {tok!r} at position {at}")
-            _take(tokens, i, ")")
+                raise ParseError(f"trailing input {tok!r} at position {_at(text, i)}")
+            _take(text, tokens, i, ")")
             pending.pop()
             i += 1
 
@@ -541,7 +546,7 @@ def _show_connective(g: Formula, operands: list[tuple[str, int]]) -> tuple[str, 
     of lower precedence than its place admits is parenthesised."""
     cls = type(g)
     if cls is And or cls is Or:
-        if _is_constant(g):
+        if g is TRUE or g is FALSE:
             return ("true" if cls is Or else "false"), _PREC_ATOM
         prec, op = (_PREC_AND, "&") if cls is And else (_PREC_OR, "|")
         (left, left_prec), (right, right_prec) = operands
@@ -563,12 +568,3 @@ def _show_connective(g: Formula, operands: list[tuple[str, int]]) -> tuple[str, 
         return f"[{g.agent}] {body}", _PREC_UNARY
     return f"<{g.agent}> {body}", _PREC_UNARY
 
-
-def _is_constant(g: And | Or) -> bool:
-    """Whether ``g`` joins `$const` and `~$const`, in either order: `TRUE`,
-    `FALSE` or the mirror image `negate` makes of a copy of either built by
-    hand.  Its operands are formulas, and only literals have a name."""
-    left, right = g.left, g.right
-    return type(left) is not type(right) and (
-        getattr(left, "name", None) == RESERVED_ATOM == getattr(right, "name", None)
-    )

@@ -588,8 +588,9 @@ def model_to_json(model: Model) -> dict:
 def model_from_json(obj: dict) -> Model:
     """The model ``model_to_json`` wrote, read strictly: the keys are exactly
     ``worlds``, ``rel`` and ``val``; worlds are ``int``s (not ``bool``s),
-    atom names ``str``s, and agent keys decimal strings.  A refusal is a
-    ``ValueError`` that names the field."""
+    atom names ``str``s, and agent keys decimal strings; and no array
+    repeats a world or a pair.  A refusal is a ``ValueError`` that names
+    the field."""
     _exact(obj, dict, "model")
     if obj.keys() != {"worlds", "rel", "val"}:
         shown = ", ".join(sorted(map(repr, obj)))
@@ -598,15 +599,17 @@ def model_from_json(obj: dict) -> Model:
     for key, pairs in _exact(obj["rel"], dict, "rel").items():
         if type(key) is not str or not _AGENT_KEY.fullmatch(key):
             raise ValueError(f"rel key should be an agent as a decimal string, not {key!r}")
-        rel[int(key)] = frozenset(
-            _pair(pair, f"pair of agent {key}")
-            for pair in _exact(pairs, list, f"rel of agent {key}")
-        )
+        field = f"rel of agent {key}"
+        rel[int(key)] = frozenset(_once(
+            [_pair(pair, f"pair of agent {key}") for pair in _exact(pairs, list, field)],
+            field,
+        ))
     val = {}
     for name, trueset in _exact(obj["val"], dict, "val").items():
         _exact(name, str, "atom name")
-        val[name] = frozenset(_worlds(trueset, f"val of {name}"))
-    return Model(worlds=_worlds(obj["worlds"], "worlds"), rel=rel, val=val)
+        field = f"val of {name}"
+        val[name] = frozenset(_once(_worlds(trueset, field), field))
+    return Model(worlds=_once(_worlds(obj["worlds"], "worlds"), "worlds"), rel=rel, val=val)
 
 
 # The agent keys `model_to_json` writes: `str` of an `int`.
@@ -615,6 +618,14 @@ _AGENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 def _worlds(value: object, field: str) -> tuple[int, ...]:
     return tuple(_exact(w, int, f"world in {field}") for w in _exact(value, list, field))
+
+
+def _once(items: Sequence, field: str) -> Sequence:
+    """``items``, which must not repeat an item: the writer writes sets."""
+    if len(set(items)) != len(items):
+        repeated = next(x for i, x in enumerate(items) if x in items[:i])
+        raise ValueError(f"{field} repeats {list(repeated) if type(repeated) is tuple else repeated}")
+    return items
 
 
 def _pair(value: object, field: str) -> tuple[int, int]:

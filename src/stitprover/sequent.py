@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .formula import Formula, parse, pretty
+from .formula import Formula, ParseError, parse, pretty
 
 Label = int
 
@@ -217,74 +217,109 @@ def _text_of(f: Formula, shown: dict[Formula, str]) -> str:
 
 
 def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
-    return _sequent_from_json(obj, agents, {})
+    return _sequent_from_json(obj, agents, {}, "sequent")
 
 
 _SEQUENT_KEYS = frozenset({"rel", "forms"})
+_REL_KINDS = [int, int, int]  # agent, source, target
+_FORM_KINDS = [int, str]  # label, formula text
 
 
 def _sequent_from_json(
-    obj: dict, agents: int, parsed: dict[str, Formula]
+    obj: dict, agents: int, parsed: dict[str, Formula], *where: str
 ) -> LabelledSequent:
-    _keys(_exact(obj, dict, "sequent"), "sequent", (), _SEQUENT_KEYS)
-    rel = [
-        RelAtom(
-            _exact(a, int, "agent"), _exact(s, int, "label"), _exact(t, int, "label")
-        )
-        for a, s, t in _entries(obj, "rel", 3)
-    ]
-    forms = [
-        LabelledFormula(_exact(w, int, "label"), _formula_of(text, agents, parsed))
-        for w, text in _entries(obj, "forms", 2)
-    ]
-    for atom in rel:
-        if not 1 <= atom.agent <= agents:
-            raise ValueError(f"agent index {atom.agent} out of range 1..{agents}")
-    return LabelledSequent(rel, forms)
+    """The sequent ``obj``, which a refusal names by the parts of
+    ``where``, joined only then: ``derivation.premises[0]``, ``.sequent``.
+    A sequent is two sets, so an entry may not repeat an earlier one."""
+    _keys(_exact(obj, dict, *where), (), _SEQUENT_KEYS, *where)
+    rel = _entries(obj, "rel", _REL_KINDS, where)
+    for at, (agent, _, _) in enumerate(rel):
+        if not 1 <= agent <= agents:
+            raise ValueError(
+                f"{''.join(where)}.rel[{at}][0] is agent {agent}, out of range 1..{agents}"
+            )
+    entries = _entries(obj, "forms", _FORM_KINDS, where)
+    try:
+        forms = [
+            LabelledFormula(w, _formula_of(text, agents, parsed)) for w, text in entries
+        ]
+    except ParseError as err:  # at the first text not yet parsed
+        at = next(i for i, (_, text) in enumerate(entries) if text not in parsed)
+        raise ValueError(f"{''.join(where)}.forms[{at}][1]: {err}") from None
+    atoms = [RelAtom(*atom) for atom in rel]
+    sequent = LabelledSequent(atoms, forms)
+    if len(sequent.rel) != len(atoms) or len(sequent.forms) != len(forms):
+        for field, items in (("rel", atoms), ("forms", forms)):
+            at = next((i for i, x in enumerate(items) if x in items[:i]), None)
+            if at is not None:
+                raise ValueError(f"{''.join(where)}.{field}[{at}] repeats an earlier entry")
+    return sequent
 
 
-def _entries(obj: dict, field: str, size: int) -> list:
-    """The array ``obj[field]``, each entry an array of ``size`` values."""
-    entries = _exact(obj.get(field, []), list, field)
+def _entries(obj: dict, field: str, kinds: list[type], where: tuple[str, ...]) -> list:
+    """The array ``obj[field]``, each entry an array of values of exactly
+    the types ``kinds``, checked a column at a time.  A refusal names the
+    entry, as ``derivation.sequent.forms[3]``; its index is found only then."""
+    entries = _exact(obj.get(field, []), list, *where, ".", field)
+    size = len(kinds)
     for entry in entries:
         if type(entry) is not list or len(entry) != size:
-            _exact(entry, list, f"{field} entry")
-            raise ValueError(f"{field} entry should hold {size} values, not {len(entry)}")
+            _refuse(entries, kinds, *where, ".", field)
+    for i, kind in enumerate(kinds):
+        for entry in entries:
+            if type(entry[i]) is not kind:
+                _refuse(entries, kinds, *where, ".", field)
     return entries
 
 
-def _formula_of(text: Any, agents: int, parsed: dict[str, Formula]) -> Formula:
+def _refuse(entries: list, kinds: list[type], *field: str) -> None:
+    """Raise the ``ValueError`` that names the first entry of ``entries``
+    not of the shape, or else the first value not of the type, ``kinds``
+    gives."""
+    where = "".join(field)
+    for i, entry in enumerate(entries):
+        _exact(entry, list, f"{where}[{i}]")
+        if len(entry) != len(kinds):
+            raise ValueError(f"{where}[{i}] should hold {len(kinds)} values, not {len(entry)}")
+    for i, entry in enumerate(entries):
+        for j, kind in enumerate(kinds):
+            _exact(entry[j], kind, f"{where}[{i}][{j}]")
+
+
+def _formula_of(text: str, agents: int, parsed: dict[str, Formula]) -> Formula:
     """The formula ``text`` reads as, parsed once per ``parsed``: a
     certificate's reader passes one memo to all of its nodes and drops it
     when it returns, so every text it holds equal reads as one object."""
-    f = parsed.get(text) if type(text) is str else None
+    f = parsed.get(text)
     if f is None:
-        f = parsed[text] = parse(_exact(text, str, "formula"), agents)
+        f = parsed[text] = parse(text, agents)
     return f
 
 
-def _keys(obj: dict, field: str, required: tuple[str, ...], known: frozenset) -> dict:
+def _keys(obj: dict, required: tuple[str, ...], known: frozenset, *field: str) -> dict:
     """``obj`` when it holds every key of ``required`` and no key outside
     ``known``, the keys a writer writes; otherwise a ``ValueError`` naming
-    ``field`` and the key.  The certificate reader uses it too."""
+    the object by the parts of ``field``, joined, and the key.  The
+    certificate reader uses it too."""
     for key in required:
         if key not in obj:
-            raise ValueError(f"{field} lacks the key {key!r}")
+            raise ValueError(f"{''.join(field)} lacks the key {key!r}")
     if not obj.keys() <= known:
         key = next(key for key in obj if key not in known)
-        raise ValueError(f"{field} has an unknown key {key!r}")
+        raise ValueError(f"{''.join(field)} has an unknown key {key!r}")
     return obj
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", int: "an int", str: "a string"}
 
 
-def _exact(value: Any, kind: type, field: str) -> Any:
+def _exact(value: Any, kind: type, *field: str) -> Any:
     """``value`` when its type is exactly ``kind``, so ``True`` is not an
-    int and ``0.0`` is not a label; otherwise a ``ValueError`` naming
-    ``field``.  The certificate and model readers use it too."""
+    int and ``0.0`` is not a label; otherwise a ``ValueError`` naming the
+    value by the parts of ``field``, joined only then.  The certificate and
+    model readers use it too."""
     if type(value) is not kind:
         raise ValueError(
-            f"{field} should be {_JSON_KINDS[kind]}, not {type(value).__name__}"
+            f"{''.join(field)} should be {_JSON_KINDS[kind]}, not {type(value).__name__}"
         )
     return value

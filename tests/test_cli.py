@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_mutants import mutants
 
 from stitprover import (
     Derivation,
@@ -12,6 +17,8 @@ from stitprover import (
     Provable,
     RuleTag,
     check_frame,
+    derivation_from_json,
+    derivation_to_json,
     evaluate,
     model_from_json,
     parse,
@@ -170,29 +177,54 @@ def _no_rule(blob):
     del blob["derivation"]["rule"]
 
 
+def _repeated_form(blob):
+    forms = blob["derivation"]["premises"][0]["sequent"]["forms"]
+    forms.append(list(forms[1]))
+
+
+def _unknown_rule(blob):
+    blob["derivation"]["premises"][0]["rule"] = "smuggle"
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
-        (_premise_five, "premise"),
-        (_label_text, "label"),
-        (_label_true, "label"),
-        (_sequent_label_float, "label"),
+        pytest.param(_premise_five, "derivation.premises[0] should be an object, not int",
+                     id="_premise_five-premise"),
+        pytest.param(_label_text, "derivation.premises[0].principal.label should be an int, not str",
+                     id="_label_text-label"),
+        pytest.param(_label_true, "derivation.premises[0].principal.label should be an int, not bool",
+                     id="_label_true-label"),
+        pytest.param(_sequent_label_float, "derivation.sequent.forms[0][0] should be an int, not float",
+                     id="_sequent_label_float-label"),
         (_bogus_certificate_key, "certificate has an unknown key 'bogus'"),
-        (_bogus_node_key, "premise has an unknown key 'bogus'"),
-        (_bogus_sequent_key, "sequent has an unknown key 'bogus'"),
-        (_bogus_principal_key, "principal has an unknown key 'bogus'"),
+        pytest.param(_bogus_node_key, "derivation.premises[0] has an unknown key 'bogus'",
+                     id="_bogus_node_key-premise has an unknown key 'bogus'"),
+        pytest.param(_bogus_sequent_key, "derivation.sequent has an unknown key 'bogus'",
+                     id="_bogus_sequent_key-sequent has an unknown key 'bogus'"),
+        pytest.param(_bogus_principal_key, "derivation.principal has an unknown key 'bogus'",
+                     id="_bogus_principal_key-principal has an unknown key 'bogus'"),
         (_no_rule, "derivation lacks the key 'rule'"),
-        (_forms_entry([0]), "forms entry should hold 2 values, not 1"),
-        (_forms_entry(5), "forms entry should be an array, not int"),
-        (_rel_entry(5), "rel entry should be an array, not int"),
-        (_rel_entry([1, 0]), "rel entry should hold 3 values, not 2"),
+        (_unknown_rule, "derivation.premises[0].rule names no RuleTag: 'smuggle'"),
+        pytest.param(_forms_entry([0]), "derivation.sequent.forms[0] should hold 2 values, not 1",
+                     id="edit-forms entry should hold 2 values, not 1"),
+        pytest.param(_forms_entry(5), "derivation.sequent.forms[0] should be an array, not int",
+                     id="edit-forms entry should be an array, not int"),
+        (_forms_entry([0, "p &"]), "derivation.sequent.forms[0][1]: unexpected end of input"),
+        pytest.param(_rel_entry(5), "derivation.sequent.rel[0] should be an array, not int",
+                     id="edit-rel entry should be an array, not int"),
+        pytest.param(_rel_entry([1, 0]), "derivation.sequent.rel[0] should hold 3 values, not 2",
+                     id="edit-rel entry should hold 3 values, not 2"),
+        (_rel_entry([2, 0, 0]), "derivation.sequent.rel[0][0] is agent 2, out of range 1..1"),
+        (_repeated_form, "derivation.premises[0].sequent.forms[3] repeats an earlier entry"),
     ],
 )
 def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, capsys):
     """A premise that is not an object, a label that is not exactly an
-    int, a key the writer never writes and a missing key it always writes
-    are malformed: exit 2 with one line that names the field or key, not a
-    traceback, a coerced label or a valid certificate."""
+    int, a key the writer never writes, a missing key it always writes and
+    a text that does not parse are malformed: exit 2 with one line that
+    names the value by its JSON path, not a traceback, a coerced label or
+    a valid certificate."""
     cert = tmp_path / "proof.json"
     assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 0
     blob = json.loads(cert.read_text())
@@ -203,6 +235,54 @@ def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: malformed certificate:")
     assert field in err
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    """The certificates ``prove --choices 1 --emit-proof`` writes for two
+    provable goals, and a file to write mutants to."""
+    folder = tmp_path_factory.mktemp("certificates")
+    blobs = []
+    for text in ("p | ~p", "dia [1] p -> p"):
+        cert = folder / "proof.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["prove", text, "--choices", "1", "--emit-proof", str(cert)]) == 0
+        blobs.append(json.loads(cert.read_text()))
+    return blobs, folder / "mutant.json"
+
+
+def _with_defaults(blob: dict) -> dict:
+    """``blob`` with the empty ``principal``, ``premises``, ``rel`` and
+    ``forms`` that the certificate reader takes for an absent key."""
+    todo = [blob["derivation"]]
+    while todo:
+        node = todo.pop()
+        node.setdefault("principal", {})
+        todo += node.setdefault("premises", [])
+        node["sequent"].setdefault("rel", [])
+        node["sequent"].setdefault("forms", [])
+    return blob
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_check_exits_0_only_on_a_certificate_that_reads_back_as_written(emitted, data):
+    """One edit to an emitted certificate, at any path: dropping, adding or
+    retyping a key, an entry or a value, or copying in another subtree.
+    `check` exits 0, 1 or 2 and raises nothing, and it exits 0 only if the
+    certificate writes back as the same JSON text, but for the defaults
+    the reader fills in: a `true` or `0.0` read as an int would show."""
+    blobs, path = emitted
+    mutant = data.draw(mutants(blobs))
+    path.write_text(json.dumps(mutant))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        again = derivation_to_json(*derivation_from_json(mutant))
+        assert json.dumps(again, sort_keys=True) == json.dumps(
+            _with_defaults(mutant), sort_keys=True
+        )
 
 
 def _deep_certificate(monkeypatch):

@@ -165,7 +165,8 @@ def test_bench_pairs_script_writes_both_sides(tmp_path):
 
 def test_bench_pairs_interleaves_a_checkout_with_itself(tmp_path):
     """Two interleaved passes a side on ``axioms`` in one process, this
-    checkout loaded twice under two module names."""
+    checkout loaded twice under two module names; the figures go to the
+    JSON, and one summary line a figure to stderr."""
     out = tmp_path / "BENCH_0.json"
     proc = run_script("bench_pairs.py", "--parent", str(ROOT), "--change",
                       str(ROOT), "--pr", "0", "--workload", "axioms",
@@ -187,3 +188,10 @@ def test_bench_pairs_interleaves_a_checkout_with_itself(tmp_path):
             first, best, median = (entry[side][k] for k in ("first", "best", "median"))
             assert 0 < best <= median and best <= first
     assert figures["runs_per_s"]["better"] == "higher"
+    check = figures["calculus.check_derivation.busy_s"]
+    line = next(line for line in proc.stderr.splitlines()
+                if line.startswith("  calculus.check_derivation.busy_s: "))
+    assert f"medians parent {check['parent']['median']:.6g}, " in line
+    assert f"change {check['change']['median']:.6g}, " in line
+    assert f"{check['median_change_pct']:+.1f} %" in line
+    assert line.endswith(f"change won {round(2 * check['change_wins_share'])} of 2")

@@ -1,7 +1,12 @@
 """Tests for the formula layer: constructors, negation, parsing, printing."""
 
+import copy
+import gc
+import pickle
+import sys
 import time
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +39,7 @@ from stitprover import (
     pretty,
     prove,
 )
+from stitprover import formula
 from stitprover.formula import (
     FALSE,
     MAX_NODES,
@@ -166,12 +172,12 @@ def _chain(leaf, agent):
 
 
 def test_hash_eq_search_and_checker_take_a_chain_deeper_than_the_recursion_limit():
-    """The same depth for `hash` and `==`, which take each node's stored
-    hash and compare on an explicit stack, and so for labelled sequents,
-    the search and the checker, which hash every formula they hold."""
+    """The same depth for `hash` and `==`, which are identity, since a chain
+    built twice is one object, and so for labelled sequents, the search
+    and the checker, which hash every formula they hold."""
     f = _chain(Atom("p"), 1)
     twin = _chain(Atom("p"), 1)
-    assert f is not twin and hash(f) == hash(twin)
+    assert f is twin and hash(f) == hash(twin)
     assert f == twin and not f != twin
     assert f != _chain(Atom("q"), 1)
     assert len({f, twin, f.body}) == 2
@@ -184,6 +190,51 @@ def test_hash_eq_search_and_checker_take_a_chain_deeper_than_the_recursion_limit
     assert result.derivation.conclusion == LabelledSequent(forms=[LabelledFormula(0, goal)])
     cfg = CalculusConfig(agents=1, choices=0, mode=Mode.REFINED)
     assert check_derivation(cfg, result.derivation).ok
+
+
+def test_equal_formulas_are_one_object():
+    """However a formula is built, by hand, by keyword, by the parser, by
+    negation or by a copy, it is the one live object of its structure."""
+    assert Atom("p") is Atom("p") and Atom(name="p") is Atom("p")
+    assert Atom("p") is not NegAtom("p") and Box(Atom("p")) is not Dia(Atom("p"))
+    assert parse("box (p & q)").body is parse("(p & q) | r").left
+    f = parse("[1] (p -> dia ~q) & !true")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    assert negate(negate(f)) is f
+    assert Or(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM)) is TRUE
+    with pytest.raises(FrozenInstanceError):
+        f.left = Atom("p")
+    with pytest.raises(FrozenInstanceError):
+        del f.right
+    assert f.left is AgBox(1, Or(NegAtom("p"), Dia(NegAtom("q"))))
+
+
+def test_the_table_keeps_only_live_formulas():
+    """The table of live formulas holds each node weakly: a 200,000-deep
+    chain built twice is one object, and once it is dropped, freeing it
+    link by link takes every entry it made, with no error on the way."""
+    gc.collect()
+    before = len(formula._TABLE)
+    leaf = Atom("table_test_leaf")
+
+    def chain():
+        f = leaf
+        for i in range(200_000):
+            f = AgBox(1, f) if i % 2 else Box(f)
+        return f
+
+    f = chain()
+    assert chain() is f
+    assert len(formula._TABLE) == before + 200_001
+    errors = []
+    hook, sys.unraisablehook = sys.unraisablehook, errors.append
+    try:
+        del f, leaf
+    finally:
+        sys.unraisablehook = hook
+    assert not errors
+    assert len(formula._TABLE) == before
 
 
 def test_atoms_and_agents():

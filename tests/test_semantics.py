@@ -1,9 +1,12 @@
 """Tests for models: frame checking, evaluation, extraction, enumeration."""
 
 import itertools
+import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from json_mutants import mutants
 from raw_models import enumerate_models
 
 from stitprover import (
@@ -556,6 +559,9 @@ def model_json(**changes):
         (model_json(extra=1), "model keys should be 'rel', 'val', 'worlds'"),
         ({"worlds": [0], "rel": {}}, "model keys should be 'rel', 'val', 'worlds'"),
         ([], "model should be an object"),
+        (model_json(rel={"1": [[0, 0], [1, 1], [0, 0]]}), r"rel of agent 1 repeats \[0, 0\]"),
+        (model_json(val={"p": [1, 1]}), "val of p repeats 1"),
+        (model_json(worlds=[0, 1, 0]), "worlds repeats 0"),
     ],
 )
 def test_the_model_reader_refuses_what_the_writer_never_writes(obj, field):
@@ -565,3 +571,39 @@ def test_the_model_reader_refuses_what_the_writer_never_writes(obj, field):
 
 def test_the_model_reader_reads_what_the_writer_writes():
     assert model_to_json(model_from_json(model_json())) == model_json()
+
+
+def _written_models() -> list[dict]:
+    """What `model_to_json` writes for the counter-models of two goals."""
+    written = []
+    for text in ("dia [1] p & dia (~p & [1] q) -> p | q", "box (p | q) | [1] ~p"):
+        result = prove(ProverConfig(choices=0), parse(text))
+        model, _ = extract_countermodel(result.stable, 0, 0)
+        written.append(model_to_json(model))
+    return written
+
+
+def _in_written_order(obj: dict) -> dict:
+    """``obj`` with each agent's pairs and each atom's worlds ascending, as
+    `model_to_json` sorts them."""
+    return {
+        "worlds": obj["worlds"],
+        "rel": {agent: sorted(pairs) for agent, pairs in obj["rel"].items()},
+        "val": {name: sorted(worlds) for name, worlds in obj["val"].items()},
+    }
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mutants(_written_models()))
+def test_the_model_reader_takes_only_what_reads_back_as_written(obj):
+    """One edit to a written model, at any path.  The reader raises
+    `ValueError` and nothing else, or takes a model that `model_to_json`
+    writes back as the same text, up to its sorting: a `true` read as a
+    world, or a repeated pair dropped, would show."""
+    try:
+        model = model_from_json(obj)
+    except ValueError:
+        return
+    assert json.dumps(model_to_json(model), sort_keys=True) == json.dumps(
+        _in_written_order(obj), sort_keys=True
+    )
