@@ -382,7 +382,7 @@ _KEYWORDS = frozenset({"box", "dia", "true", "false"})
 # one that starts none, or a `-` that starts no `->`.  With no such
 # character in the text, every non-space character is in a token.
 _TOKEN_RE = re.compile(r"<->|->|[()\[\]<>&|!~]|\d+|[A-Za-z_][A-Za-z0-9_]*")
-_UNTAKEN_RE = re.compile(r"[^\sA-Za-z0-9_()\[\]<>&|!~-]|-(?!>)")
+_UNTAKEN_RE = re.compile(r"[^\s\dA-Za-z_()\[\]<>&|!~-]|-(?!>)")
 
 
 def _tokenize(text: str) -> list[str | None]:

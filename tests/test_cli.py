@@ -221,10 +221,11 @@ def _unknown_rule(blob):
 )
 def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, capsys):
     """A premise that is not an object, a label that is not exactly an
-    int, a key the writer never writes, a missing key it always writes and
-    a text that does not parse are malformed: exit 2 with one line that
-    names the value by its JSON path, not a traceback, a coerced label or
-    a valid certificate."""
+    int, a key the writer never writes, a missing key it always writes, an
+    unknown rule, a text that does not parse, an agent out of range and a
+    repeated entry are malformed: exit 2 with one line that names the value
+    by its JSON path, not a traceback, a coerced label or a valid
+    certificate."""
     cert = tmp_path / "proof.json"
     assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 0
     blob = json.loads(cert.read_text())

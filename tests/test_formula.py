@@ -339,6 +339,7 @@ def test_parse_negation_of_compounds_dualizes():
 
 def test_parse_respects_the_agent_bound():
     assert parse("[2] p", agents=2) == AgBox(2, Atom("p"))
+    assert parse("[\u0663] p", agents=3) is AgBox(3, Atom("p"))  # any decimal digit
     with pytest.raises(ParseError):
         parse("[2] p", agents=1)
     with pytest.raises(ParseError):
