@@ -37,6 +37,15 @@ eucl   agent, apex, source, target      (G3 only)
 ioa    targets, fresh
 apc    agent, roots
 ====== ==========================================
+
+A certificate (format version 2) is flat: the root's conclusion, then one
+step per node in pre-order, ``[rule, principal, premise count, delta]``.
+Every node but the root states its conclusion as a delta from its
+parent's: the relational atoms and labelled formulas it adds, and under
+``drop`` those it lacks, which only the G3 agentive box needs.  The
+reader rebuilds exactly the tree that was written and judges nothing;
+``check_derivation`` does.  Writer, reader and checker are loops, so a
+derivation of any depth is written, read and checked.
 """
 
 from __future__ import annotations
@@ -55,6 +64,8 @@ from .sequent import (
     LabelledFormula,
     LabelledSequent,
     RelAtom,
+    _delta_from_json,
+    _delta_to_json,
     _exact,
     _formula_of,
     _keys,
@@ -414,11 +425,10 @@ def _witness(principal: Mapping[str, Any], concl: LabelledSequent) -> Label:
 _FORMULA_KEYS = frozenset({"formula"})
 _TUPLE_KEYS = frozenset({"targets", "roots"})
 
-# The keys the writer writes: of a certificate, of a node, and of a node's
-# principal data (every key of the table in the module docstring).
-_CERTIFICATE_KEYS = ("m", "n", "mode", "derivation")
-_NODE_KEYS = ("sequent", "rule")
-_KNOWN_NODE_KEYS = frozenset({*_NODE_KEYS, "principal", "premises"})
+# The keys of a certificate, and of a node's principal data (every key of
+# the table in the module docstring).
+_CERTIFICATE_KEYS = ("m", "n", "mode", "version", "root", "steps")
+_VERSION = 2
 _PRINCIPAL_KEYS = frozenset({
     "label", "atom", "formula", "fresh", "witness", "agent",
     "apex", "source", "target", "targets", "roots",
@@ -426,64 +436,101 @@ _PRINCIPAL_KEYS = frozenset({
 
 
 def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
-    """The certificate of ``root``, printing each distinct formula once."""
+    """The certificate of ``root``: its root sequent, then one step per
+    node in pre-order, ``[rule, principal, premise count, delta]``, where
+    the delta is the node's conclusion against its parent's and the root's
+    step has none.  Each distinct formula is printed once."""
+    shown: dict[Formula, str] = {}
+    steps = []
+    todo: list[tuple[Derivation, Derivation | None]] = [(root, None)]
+    while todo:
+        node, parent = todo.pop()
+        step = [node.rule.value, _principal_to_json(node.principal, shown),
+                len(node.premises)]
+        if parent is not None:
+            step.append(_delta_to_json(parent.conclusion, node.conclusion, shown))
+        steps.append(step)
+        todo.extend((premise, node) for premise in reversed(node.premises))
     return {
         "m": cfg.agents,
         "n": cfg.choices,
         "mode": cfg.mode.value,
-        "derivation": _node_to_json(root, {}),
+        "version": _VERSION,
+        "root": _sequent_to_json(root.conclusion, shown),
+        "steps": steps,
     }
 
 
-def _node_to_json(node: Derivation, shown: dict[Formula, str]) -> dict:
+def _principal_to_json(given: Mapping[str, Any], shown: dict[Formula, str]) -> dict:
     principal = {}
-    for key, value in node.principal.items():
+    for key, value in given.items():
         if key in _FORMULA_KEYS:
             principal[key] = _text_of(value, shown)
         elif key in _TUPLE_KEYS:
             principal[key] = list(value)
         else:
             principal[key] = value
-    return {
-        "sequent": _sequent_to_json(node.conclusion, shown),
-        "rule": node.rule.value,
-        "principal": principal,
-        "premises": [_node_to_json(p, shown) for p in node.premises],
-    }
+    return principal
 
 
 def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
-    """Read a certificate.  Labels, agents, ``m`` and ``n`` must be ints, and
-    atoms and formulas strings, exactly: nothing is coerced.  An object
-    that lacks a key the writer always writes, or holds one it never
-    writes, is refused.  A refusal names what it refuses by its JSON path,
-    as ``derivation.premises[0].sequent.forms[3]``.  Each distinct formula
-    text is parsed once, and every occurrence of it reads as that one
-    formula object."""
+    """Read a certificate, building exactly the tree that was written: each
+    step's premises are the steps that follow it, in pre-order, and each
+    conclusion is its parent's with the step's delta applied.  Labels,
+    agents, ``m``, ``n`` and premise counts must be ints, and atoms and
+    formulas strings, exactly: nothing is coerced.  A key the writer does
+    not write, a missing one, a delta it would not write and a premise
+    count that leaves steps over or short are refused, and a refusal names
+    the value by its JSON path, as ``steps[3].delta.forms[0][1]``.  Each
+    distinct formula text is parsed once, and every occurrence of it reads
+    as that one formula object."""
     _keys(_exact(obj, dict, "certificate"), _CERTIFICATE_KEYS,
           frozenset(_CERTIFICATE_KEYS), "certificate")
+    version = _exact(obj["version"], int, "version")
+    if version != _VERSION:
+        raise ValueError(f"version should be {_VERSION}, not {version}")
     cfg = CalculusConfig(
         agents=_exact(obj["m"], int, "m"),
         choices=_exact(obj["n"], int, "n"),
         mode=_enum(Mode, obj["mode"], "mode"),
     )
-    return cfg, _node_from_json(obj["derivation"], cfg.agents, "derivation", {})
-
-
-def _node_from_json(
-    obj: dict, agents: int, path: str, parsed: dict[str, Formula]
-) -> Derivation:
-    """The node ``obj`` at the JSON path ``path``, which names it in a
-    refusal; a field's name or an entry's index is added only then.  It
-    calls itself for each premise from a loop, one frame a level."""
-    _keys(_exact(obj, dict, path), _NODE_KEYS, _KNOWN_NODE_KEYS, path)
-    conclusion = _sequent_from_json(obj["sequent"], agents, parsed, path, ".sequent")
-    rule = _enum(RuleTag, obj["rule"], path, ".rule")
-    principal = _principal_from_json(obj.get("principal", {}), agents, path, parsed)
-    premises = []
-    for i, p in enumerate(_exact(obj.get("premises", []), list, path, ".premises")):
-        premises.append(_node_from_json(p, agents, f"{path}.premises[{i}]", parsed))
-    return Derivation(conclusion, rule, principal, tuple(premises))
+    agents, parsed = cfg.agents, {}
+    steps = _exact(obj["steps"], list, "steps")
+    if not steps:
+        raise ValueError("steps should hold the root's step")
+    conclusion = _sequent_from_json(obj["root"], agents, parsed, "root")
+    # The nodes whose premises are still being read, innermost last: step
+    # index, premise count, premises read, conclusion, rule, principal.
+    open_: list[tuple[int, int, list, LabelledSequent, RuleTag, dict]] = []
+    for i, step in enumerate(steps):
+        where = f"steps[{i}]"
+        size = 4 if i else 3
+        if type(step) is not list or len(step) != size:
+            _exact(step, list, where)
+            raise ValueError(f"{where} should hold {size} values, not {len(step)}")
+        if i and not open_:
+            raise ValueError(f"{where} is left over: the steps before it make a whole tree")
+        rule = _enum(RuleTag, step[0], where, ".rule")
+        principal = _principal_from_json(step[1], agents, where, parsed)
+        count = _exact(step[2], int, where, ".premise_count")
+        if count < 0:
+            raise ValueError(f"{where}.premise_count is {count}, below 0")
+        if i:
+            conclusion = _delta_from_json(step[3], open_[-1][3], agents, parsed,
+                                          where, ".delta")
+        open_.append((i, count, [], conclusion, rule, principal))
+        while open_ and len(open_[-1][2]) == open_[-1][1]:
+            _, _, premises, *fields = open_.pop()
+            node = Derivation(*fields, tuple(premises))
+            if open_:
+                open_[-1][2].append(node)
+    if open_:
+        i, count, premises, *_ = open_[-1]
+        raise ValueError(
+            f"steps[{i}] has {count} premise(s), but the steps end after "
+            f"{len(premises)} of them"
+        )
+    return cfg, node
 
 
 def _principal_from_json(

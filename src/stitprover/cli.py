@@ -17,11 +17,11 @@ or no counter-model up to a world bound not proved complete (the oracle
 prints "not proved valid" then);
 1 unprovable, invalid certificate, counter-model found, disagreement, or
 rejected evidence;
-2 usage or input error (a certificate nested too deeply to read included);
-3 internal invariant failure, search cap, or a certificate nested too
-deeply to write (only a certificate's JSON, read and written by recursion,
-reaches Python's recursion limit; a goal is limited by
-``formula.MAX_NODES``, memory and time only).
+2 usage or input error, a malformed certificate included;
+3 internal invariant failure or search cap.  A certificate is a flat list
+of steps, read and written by loops, and a goal is limited by
+``formula.MAX_NODES``, memory and time only, so no input reaches Python's
+recursion limit; ``main`` still maps a ``RecursionError`` to 3.
 """
 
 from __future__ import annotations
@@ -120,8 +120,6 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         cfg, root = derivation_from_json(_read_json(args.proof))
-    except RecursionError as err:
-        raise _UsageError(f"{args.proof} is nested too deeply to read") from err
     except (KeyError, TypeError, ValueError) as err:
         raise _UsageError(f"malformed certificate: {err}") from err
     for flag, declared, label in (
@@ -213,6 +211,8 @@ def _read_json(path: str) -> dict:
         raise _UsageError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise _UsageError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError as err:  # the decoder recurses; no certificate is deep
+        raise _UsageError(f"{path} is nested too deeply to decode as JSON") from err
 
 
 def _write_json(path: str, obj: dict) -> None:

@@ -207,6 +207,45 @@ def _sequent_to_json(s: LabelledSequent, shown: dict[Formula, str]) -> dict:
     }
 
 
+def _delta_to_json(
+    parent: LabelledSequent, child: LabelledSequent, shown: dict[Formula, str]
+) -> dict:
+    """``child`` as a delta from ``parent``: the ``rel`` and ``forms``
+    entries it adds, in its order, and under ``drop`` those of ``parent``
+    it lacks, in the parent's order.  Only parts that hold an entry are
+    written.  ``_delta_from_json`` gives back ``child`` whenever its entries
+    are its parent's, less the dropped ones, then the added ones, as a
+    search builds them; otherwise an equal sequent in that order."""
+    rel, lost_rel = _difference(parent.rel, child.rel, child._rel_set)
+    forms, lost_forms = _difference(parent.forms, child.forms, child._forms_set)
+    delta = _parts_to_json(rel, forms, shown)
+    if lost_rel or lost_forms:
+        delta["drop"] = _parts_to_json(lost_rel, lost_forms, shown)
+    return delta
+
+
+def _parts_to_json(rel: tuple, forms: tuple, shown: dict[Formula, str]) -> dict:
+    """``rel`` and ``forms`` as a sequent's parts, each only if it holds an entry."""
+    parts: dict = {}
+    if rel:
+        parts["rel"] = [[agent, src, tgt] for agent, src, tgt in rel]
+    if forms:
+        parts["forms"] = [[label, _text_of(f, shown)] for label, f in forms]
+    return parts
+
+
+def _difference(old: tuple, new: tuple, new_set: frozenset) -> tuple[tuple, tuple]:
+    """The entries of ``new`` not in ``old``, and those of ``old`` not in
+    ``new``; a ``new`` that starts with all of ``old`` takes one comparison."""
+    if new[: len(old)] == old:
+        return new[len(old) :], ()
+    old_set = set(old)
+    return (
+        tuple(x for x in new if x not in old_set),
+        tuple(x for x in old if x not in new_set),
+    )
+
+
 def _text_of(f: Formula, shown: dict[Formula, str]) -> str:
     """The text of ``f``, printed once per ``shown``: a certificate's writer
     passes one memo to all of its nodes and drops it when it returns."""
@@ -221,6 +260,7 @@ def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
 
 
 _SEQUENT_KEYS = frozenset({"rel", "forms"})
+_DELTA_KEYS = frozenset({"rel", "forms", "drop"})
 _REL_KINDS = [int, int, int]  # agent, source, target
 _FORM_KINDS = [int, str]  # label, formula text
 
@@ -229,37 +269,111 @@ def _sequent_from_json(
     obj: dict, agents: int, parsed: dict[str, Formula], *where: str
 ) -> LabelledSequent:
     """The sequent ``obj``, which a refusal names by the parts of
-    ``where``, joined only then: ``derivation.premises[0]``, ``.sequent``.
-    A sequent is two sets, so an entry may not repeat an earlier one."""
+    ``where``, joined only then, as ``root``.  A sequent is two sets, so an
+    entry may not repeat an earlier one."""
     _keys(_exact(obj, dict, *where), (), _SEQUENT_KEYS, *where)
+    rel = _rel_from_json(obj, agents, where)
+    forms = _forms_from_json(obj, agents, parsed, where)
+    return LabelledSequent.from_distinct(
+        _new(rel, frozenset(), *where, ".rel"), _new(forms, frozenset(), *where, ".forms")
+    )
+
+
+def _delta_from_json(
+    obj: dict,
+    parent: LabelledSequent,
+    agents: int,
+    parsed: dict[str, Formula],
+    *where: str,
+) -> LabelledSequent:
+    """The sequent that the delta ``obj`` makes of ``parent``: the parent's
+    entries less those under ``drop``, in the parent's order, then the
+    added ``rel`` and ``forms``.  The writer writes a part only when it
+    holds an entry, adds only what the parent lacks and drops only what it
+    holds, in its order; anything else is refused, so a delta that is read
+    writes back as it was read."""
+    _keys(_exact(obj, dict, *where), (), _DELTA_KEYS, *where)
+    drop, at = obj.get("drop", {}), (*where, ".drop")
+    if "drop" in obj and not _keys(_exact(drop, dict, *at), (), _SEQUENT_KEYS, *at):
+        raise ValueError(f"{''.join(at)} should not be empty")
+    sides = []
+    for field, entries, held in (
+        ("rel", parent.rel, parent._rel_set),
+        ("forms", parent.forms, parent._forms_set),
+    ):
+        if field in drop:
+            gone = _part(drop, field, agents, parsed, at)
+            entries = _less(entries, gone, held, *at, ".", field)
+        if field in obj:
+            added = _part(obj, field, agents, parsed, where)
+            entries += _new(added, held, *where, ".", field)
+        sides.append(entries)
+    return LabelledSequent.from_distinct(*sides)
+
+
+def _part(
+    obj: dict, field: str, agents: int, parsed: dict[str, Formula], where: tuple[str, ...]
+) -> list:
+    """The entries of a delta's ``rel`` or ``forms``, of which there is one
+    at least: the writer leaves an empty part out."""
+    if field == "rel":
+        items = _rel_from_json(obj, agents, where)
+    else:
+        items = _forms_from_json(obj, agents, parsed, where)
+    if not items:
+        raise ValueError(f"{''.join(where)}.{field} should not be empty")
+    return items
+
+
+def _rel_from_json(obj: dict, agents: int, where: tuple[str, ...]) -> list[RelAtom]:
     rel = _entries(obj, "rel", _REL_KINDS, where)
     for at, (agent, _, _) in enumerate(rel):
         if not 1 <= agent <= agents:
             raise ValueError(
                 f"{''.join(where)}.rel[{at}][0] is agent {agent}, out of range 1..{agents}"
             )
+    return [RelAtom(*atom) for atom in rel]
+
+
+def _forms_from_json(
+    obj: dict, agents: int, parsed: dict[str, Formula], where: tuple[str, ...]
+) -> list[LabelledFormula]:
     entries = _entries(obj, "forms", _FORM_KINDS, where)
     try:
-        forms = [
+        return [
             LabelledFormula(w, _formula_of(text, agents, parsed)) for w, text in entries
         ]
     except ParseError as err:  # at the first text not yet parsed
         at = next(i for i, (_, text) in enumerate(entries) if text not in parsed)
         raise ValueError(f"{''.join(where)}.forms[{at}][1]: {err}") from None
-    atoms = [RelAtom(*atom) for atom in rel]
-    sequent = LabelledSequent(atoms, forms)
-    if len(sequent.rel) != len(atoms) or len(sequent.forms) != len(forms):
-        for field, items in (("rel", atoms), ("forms", forms)):
-            at = next((i for i, x in enumerate(items) if x in items[:i]), None)
-            if at is not None:
-                raise ValueError(f"{''.join(where)}.{field}[{at}] repeats an earlier entry")
-    return sequent
+
+
+def _new(items: list, held: frozenset, *field: str) -> tuple:
+    """``items``, when none is in ``held`` or repeats an earlier one."""
+    if len(set(items)) != len(items) or not held.isdisjoint(items):
+        at = next(i for i, x in enumerate(items) if x in held or x in items[:i])
+        why = "adds an entry its parent holds" if items[at] in held else "repeats an earlier entry"
+        raise ValueError(f"{''.join(field)}[{at}] {why}")
+    return tuple(items)
+
+
+def _less(entries: tuple, items: list, held: frozenset, *field: str) -> tuple:
+    """``entries`` less ``items``, which must be some of them, in their
+    order; ``held`` is their set."""
+    gone = set(items)
+    if [x for x in entries if x in gone] != items:
+        at = next((i for i, x in enumerate(items) if x not in held or x in items[:i]), None)
+        if at is None:
+            raise ValueError(f"{''.join(field)} is not in its parent's order")
+        why = "drops an entry its parent lacks" if items[at] not in held else "repeats an earlier entry"
+        raise ValueError(f"{''.join(field)}[{at}] {why}")
+    return tuple(x for x in entries if x not in gone)
 
 
 def _entries(obj: dict, field: str, kinds: list[type], where: tuple[str, ...]) -> list:
     """The array ``obj[field]``, each entry an array of values of exactly
     the types ``kinds``, checked a column at a time.  A refusal names the
-    entry, as ``derivation.sequent.forms[3]``; its index is found only then."""
+    entry, as ``steps[3].delta.forms[0]``; its index is found only then."""
     entries = _exact(obj.get(field, []), list, *where, ".", field)
     size = len(kinds)
     for entry in entries:

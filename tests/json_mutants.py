@@ -1,8 +1,8 @@
 """A Hypothesis strategy that mutates a JSON value once, at any path.
 
 The readers' fuzz tests start from what a writer wrote and make one edit:
-drop a key or an entry, add one, retype a value, or put a copy of another
-subtree in its place.  Most mutants are malformed; the rest must read back
+drop a key or an entry, add one (a fixed value or a copy of a subtree),
+retype a value, or put a copy of another subtree in its place.  Most mutants are malformed; the rest must read back
 exactly as they were written.
 """
 
@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 VALUES = (
     None, True, False, 0, 1, 2, -1, 0.0, 1.0, "", "p", "~p", "p | ~p", "or",
     "refined", [], {}, [0], [0, "p"], [1, 0, 0], {"label": 0},
+    {"forms": [[0, "p"]]}, ["id", {"label": 0, "atom": "p"}, 0, {}],
 )
 
 # Keys an edit may add to an object: those the certificate and model
 # writers write, and one that no writer writes.
 KEYS = (
-    "bogus", "m", "n", "mode", "derivation", "sequent", "rule", "principal",
-    "premises", "rel", "forms", "label", "formula", "atom", "fresh", "witness",
-    "agent", "targets", "roots", "worlds", "val", "1", "p",
+    "bogus", "m", "n", "mode", "version", "root", "steps", "drop", "rel",
+    "forms", "label", "formula", "atom", "fresh", "witness", "agent",
+    "targets", "roots", "worlds", "val", "1", "p",
 )
 
 
@@ -58,6 +59,17 @@ def _retyped(value) -> list:
     return [0, ""]
 
 
+def _copy(draw, holder, paths, near):
+    """One of ``VALUES``, or a copy of a value found in ``holder``: of one
+    of ``near``, so that an entry repeats its sibling, or of any subtree."""
+    source = draw(st.sampled_from(("fixed", "near", "any")))
+    if source == "near" and near:
+        return copy.deepcopy(draw(st.sampled_from(near)))
+    if source == "any":
+        return copy.deepcopy(_at(holder, draw(st.sampled_from(paths))))
+    return draw(st.sampled_from(VALUES))
+
+
 @st.composite
 def mutants(draw, originals):
     """A deep copy of one of ``originals`` with one edit at one path."""
@@ -70,9 +82,9 @@ def mutants(draw, originals):
     if edit == "drop" and path != (0,):
         del parent[step]
     elif edit == "add" and isinstance(value, dict):
-        value[draw(st.sampled_from(KEYS))] = draw(st.sampled_from(VALUES))
+        value[draw(st.sampled_from(KEYS))] = _copy(draw, holder, paths, list(value.values()))
     elif edit == "add" and isinstance(value, list):
-        value.insert(draw(st.integers(0, len(value))), draw(st.sampled_from(VALUES)))
+        value.insert(draw(st.integers(0, len(value))), _copy(draw, holder, paths, value))
     elif edit == "replace":
         parent[step] = copy.deepcopy(_at(holder, draw(st.sampled_from(paths))))
     else:

@@ -316,7 +316,7 @@ def test_sweep_behaviour_is_unchanged(sweep):
     that alters the search's output on purpose must say why and record the
     new value here."""
     assert sweep.digest == (
-        "44afa80465e1f862750a4f9f986b6f0ada1906027dca9616260feb5f3c7663ab"
+        "f6379151be594e160ffe6e0ec01f5353acc27ae92b775c475cfbab0755cf81ed"
     )
 
 
@@ -369,7 +369,7 @@ def test_ladder_behaviour_is_unchanged():
         result = prove(ProverConfig(choices=goal.choices), parse(goal.text))
         digest.update(_behaviour(result, goal.choices))
     assert digest.hexdigest() == (
-        "c2547362c228f44bf3ccd2df20e03c41c3668f2011dccbd05b26bed4d3348c0b"
+        "e5f91f0dc05b3f24caefb97be31e51198aa86c4ceb07a4d96f193bc168a1edb8"
     )
 
 

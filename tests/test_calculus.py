@@ -1,6 +1,7 @@
 """Tests for the proof checker: rule shapes, modes, fixtures, soundness."""
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -654,9 +655,53 @@ def test_certificate_json_rejects_unknown_rules():
     result = prove(ProverConfig(choices=0), parse("p | ~p"))
     cfg = CalculusConfig(agents=1, choices=0, mode=Mode.REFINED)
     blob = derivation_to_json(cfg, result.derivation)
-    blob["derivation"]["rule"] = "smuggle"
+    blob["steps"][0][0] = "smuggle"
     with pytest.raises(ValueError):
         derivation_from_json(blob)
+
+
+def test_a_g3_certificate_drops_the_principal_of_the_agentive_box():
+    """The G3 agentive box discards its principal formula, so its premise's
+    delta drops it; the certificate reads back as the tree written."""
+    cfg, root = ioa_two_agent_fixture()
+    blob = derivation_to_json(cfg, root)
+    drops = [step[3]["drop"] for step in blob["steps"][1:] if "drop" in step[3]]
+    assert drops == [{"forms": [[3, "[1] p"]]}, {"forms": [[3, "[2] q"]]}]
+    cfg2, root2 = derivation_from_json(json.loads(json.dumps(blob)))
+    assert (cfg2, root2) == (cfg, root)
+    assert derivation_to_json(cfg2, root2) == blob
+    assert check_derivation(cfg2, root2).ok
+
+
+def test_a_delta_drops_only_what_its_parent_holds_in_its_order():
+    """The writer drops entries in the parent's order and adds none the
+    parent holds; the reader refuses any other delta.  A premise whose
+    entries come in another order reads back equal, in the reader's order."""
+    parent = seq(forms=[lf(0, P), lf(0, Q), lf(0, NP)])
+    child = seq(forms=[lf(1, P), lf(0, NP)])
+    root = Derivation(parent, RuleTag.OR, {}, (Derivation(child, RuleTag.ID, {}),))
+    blob = derivation_to_json(REFINED_1, root)
+    assert blob["steps"][1][3] == {
+        "forms": [[1, "p"]], "drop": {"forms": [[0, "p"], [0, "q"]]}
+    }
+    _, back = derivation_from_json(blob)
+    assert back == root
+    assert back.premises[0].conclusion.forms == (lf(0, NP), lf(1, P))
+    for key, value, why in [
+        ("drop", {"forms": [[0, "q"], [0, "p"]]},
+         "steps[1].delta.drop.forms is not in its parent's order"),
+        ("drop", {"forms": [[0, "p"], [0, "p"]]},
+         "steps[1].delta.drop.forms[1] repeats an earlier entry"),
+        ("drop", {"forms": [[0, "p"], [1, "q"]]},
+         "steps[1].delta.drop.forms[1] drops an entry its parent lacks"),
+        ("forms", [[1, "p"], [0, "p"]],
+         "steps[1].delta.forms[1] adds an entry its parent holds"),
+    ]:
+        edited = json.loads(json.dumps(blob))
+        edited["steps"][1][3][key] = value
+        with pytest.raises(ValueError) as refused:
+            derivation_from_json(edited)
+        assert str(refused.value) == why
 
 
 BC_3 = (

@@ -75,6 +75,27 @@ def test_prove_and_check_round_trip(tmp_path, capsys):
     assert "valid certificate" in capsys.readouterr().out
 
 
+def _balanced_disjunction(k: int) -> str:
+    """The balanced disjunction of ``p0`` ... ``p{k-1}`` and ``~p0``: its
+    proof is a chain of ``or`` steps over an ``id`` leaf, on a sequent that
+    grows by two formulas a step."""
+    parts = [f"p{i}" for i in range(k)] + ["~p0"]
+    while len(parts) > 1:
+        parts = [f"({' | '.join(parts[i : i + 2])})" for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def test_prove_and_check_a_600_way_disjunction(tmp_path, capsys):
+    """Each step writes only what it adds, so the certificate of a proof
+    346 nodes deep, on sequents of up to 691 formulas, stays small; written
+    whole at every node it took 463 MB."""
+    cert = tmp_path / "proof.json"
+    assert main(["prove", _balanced_disjunction(600), "--emit-proof", str(cert)]) == 0
+    assert cert.stat().st_size < 1_000_000
+    assert main(["check", str(cert)]) == 0
+    assert capsys.readouterr().out == "provable\nvalid certificate\n"
+
+
 def test_check_cross_checks_the_header(tmp_path, capsys):
     cert = tmp_path / "proof.json"
     main(["prove", "dia [1] p -> p", "--choices", "1", "--emit-proof", str(cert)])
@@ -89,11 +110,12 @@ def test_check_rejects_a_tampered_certificate(tmp_path, capsys):
     main(["prove", "box p -> [1] p", "--emit-proof", str(cert)])
     blob = json.loads(cert.read_text())
 
-    # Drop one labelled formula from the deepest premise's sequent.
-    node = blob["derivation"]
-    while node["premises"]:
-        node = node["premises"][0]
-    node["sequent"]["forms"].pop()
+    # Drop one labelled formula from the deepest step's delta: the proof is
+    # a chain, so that is the last step, and its delta then adds nothing.
+    delta = blob["steps"][-1][3]
+    delta["forms"].pop()
+    if not delta["forms"]:
+        del delta["forms"]
     cert.write_text(json.dumps(blob))
 
     capsys.readouterr()
@@ -110,50 +132,85 @@ def test_check_rejects_malformed_files(tmp_path, capsys):
     shallow = tmp_path / "shallow.json"
     shallow.write_text(json.dumps({"m": 1}))
     assert main(["check", str(shallow)]) == 2
-
-
-def test_check_rejects_a_certificate_too_deep_to_read(tmp_path, capsys):
-    # Written by hand: 700 nested ``or`` nodes over an ``id`` leaf.
-    node = '{"sequent": {"rel": [], "forms": []}, "rule": "%s", "principal": {}'
-    text = (
-        '{"m": 1, "n": 0, "mode": "refined", "derivation": '
-        + (node % "or" + ', "premises": [') * 700
-        + node % "id" + "}"
-        + "]}" * 700
-        + "}"
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["check", str(nested)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {nested} is nested too deeply to decode as JSON\n"
     )
+
+
+def _chain(steps: int) -> dict:
+    """A certificate written by hand: ``steps`` ``or`` steps, each the one
+    premise of the one before, over an ``id`` leaf, all with an empty
+    sequent and no principal data."""
+    return {
+        "m": 1, "n": 0, "mode": "refined", "version": 2,
+        "root": {"rel": [], "forms": []},
+        "steps": [["or", {}, 1]] + [["or", {}, 1, {}]] * (steps - 1) + [["id", {}, 0, {}]],
+    }
+
+
+def test_check_reads_a_certificate_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """A chain of 2,000 steps is as flat in JSON as a chain of one: the
+    reader takes it, builds the tree as written, and ``check`` judges it,
+    at the root, which has no principal data."""
+    blob = _chain(2000)
+    cfg, root = derivation_from_json(blob)
+    assert root.size() == 2001
+    assert derivation_to_json(cfg, root) == blob
     deep = tmp_path / "deep.json"
-    deep.write_text(text)
-    assert main(["check", str(deep)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "nested too deeply" in err
+    deep.write_text(json.dumps(blob))
+    assert main(["check", str(deep)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid certificate at root: principal data is missing 'label'\n"
+    )
 
 
 def _premise_five(blob):
-    blob["derivation"]["premises"] = [5]
+    blob["steps"][1] = 5
 
 
 def _label_text(blob):
-    blob["derivation"]["premises"][0]["principal"]["label"] = "0"
+    blob["steps"][1][1]["label"] = "0"
 
 
 def _label_true(blob):
-    blob["derivation"]["premises"][0]["principal"]["label"] = True
+    blob["steps"][1][1]["label"] = True
 
 
 def _sequent_label_float(blob):
-    blob["derivation"]["sequent"]["forms"][0][0] = 0.0
+    blob["root"]["forms"][0][0] = 0.0
 
 
 def _forms_entry(entry):
     def edit(blob):
-        blob["derivation"]["sequent"]["forms"] = [entry]
+        blob["root"]["forms"] = [entry]
     return edit
 
 
 def _rel_entry(entry):
     def edit(blob):
-        blob["derivation"]["sequent"]["rel"] = [entry]
+        blob["root"]["rel"] = [entry]
+    return edit
+
+
+def _delta(**part):
+    def edit(blob):
+        blob["steps"][1][3].update(part)
+    return edit
+
+
+def _step(i, value):
+    def edit(blob):
+        blob["steps"][i] = value
+    return edit
+
+
+def _premise_count(i, count):
+    def edit(blob):
+        blob["steps"][i][2] = count
     return edit
 
 
@@ -162,68 +219,103 @@ def _bogus_certificate_key(blob):
 
 
 def _bogus_node_key(blob):
-    blob["derivation"]["premises"][0]["bogus"] = 1
+    blob["steps"][1][3]["bogus"] = 1
 
 
 def _bogus_sequent_key(blob):
-    blob["derivation"]["sequent"]["bogus"] = 1
+    blob["root"]["bogus"] = 1
 
 
 def _bogus_principal_key(blob):
-    blob["derivation"]["principal"]["bogus"] = 1
+    blob["steps"][0][1]["bogus"] = 1
 
 
 def _no_rule(blob):
-    del blob["derivation"]["rule"]
+    del blob["steps"][0][0]
+
+
+def _no_version(blob):
+    del blob["version"]
+
+
+def _version_1(blob):
+    blob["version"] = 1
 
 
 def _repeated_form(blob):
-    forms = blob["derivation"]["premises"][0]["sequent"]["forms"]
+    forms = blob["steps"][1][3]["forms"]
     forms.append(list(forms[1]))
 
 
+def _held_form(blob):
+    blob["steps"][1][3]["forms"].append([0, "p | ~p"])
+
+
 def _unknown_rule(blob):
-    blob["derivation"]["premises"][0]["rule"] = "smuggle"
+    blob["steps"][1][0] = "smuggle"
 
 
 @pytest.mark.parametrize(
     "edit, field",
     [
-        pytest.param(_premise_five, "derivation.premises[0] should be an object, not int",
+        pytest.param(_premise_five, "steps[1] should be an array, not int",
                      id="_premise_five-premise"),
-        pytest.param(_label_text, "derivation.premises[0].principal.label should be an int, not str",
+        pytest.param(_label_text, "steps[1].principal.label should be an int, not str",
                      id="_label_text-label"),
-        pytest.param(_label_true, "derivation.premises[0].principal.label should be an int, not bool",
+        pytest.param(_label_true, "steps[1].principal.label should be an int, not bool",
                      id="_label_true-label"),
-        pytest.param(_sequent_label_float, "derivation.sequent.forms[0][0] should be an int, not float",
+        pytest.param(_sequent_label_float, "root.forms[0][0] should be an int, not float",
                      id="_sequent_label_float-label"),
         (_bogus_certificate_key, "certificate has an unknown key 'bogus'"),
-        pytest.param(_bogus_node_key, "derivation.premises[0] has an unknown key 'bogus'",
+        pytest.param(_bogus_node_key, "steps[1].delta has an unknown key 'bogus'",
                      id="_bogus_node_key-premise has an unknown key 'bogus'"),
-        pytest.param(_bogus_sequent_key, "derivation.sequent has an unknown key 'bogus'",
+        pytest.param(_bogus_sequent_key, "root has an unknown key 'bogus'",
                      id="_bogus_sequent_key-sequent has an unknown key 'bogus'"),
-        pytest.param(_bogus_principal_key, "derivation.principal has an unknown key 'bogus'",
+        pytest.param(_bogus_principal_key, "steps[0].principal has an unknown key 'bogus'",
                      id="_bogus_principal_key-principal has an unknown key 'bogus'"),
-        (_no_rule, "derivation lacks the key 'rule'"),
-        (_unknown_rule, "derivation.premises[0].rule names no RuleTag: 'smuggle'"),
-        pytest.param(_forms_entry([0]), "derivation.sequent.forms[0] should hold 2 values, not 1",
+        pytest.param(_no_rule, "steps[0] should hold 3 values, not 2",
+                     id="_no_rule-derivation lacks the key 'rule'"),
+        pytest.param(_unknown_rule, "steps[1].rule names no RuleTag: 'smuggle'",
+                     id="_unknown_rule-derivation.premises[0].rule names no RuleTag: 'smuggle'"),
+        pytest.param(_forms_entry([0]), "root.forms[0] should hold 2 values, not 1",
                      id="edit-forms entry should hold 2 values, not 1"),
-        pytest.param(_forms_entry(5), "derivation.sequent.forms[0] should be an array, not int",
+        pytest.param(_forms_entry(5), "root.forms[0] should be an array, not int",
                      id="edit-forms entry should be an array, not int"),
-        (_forms_entry([0, "p &"]), "derivation.sequent.forms[0][1]: unexpected end of input"),
-        pytest.param(_rel_entry(5), "derivation.sequent.rel[0] should be an array, not int",
+        pytest.param(_forms_entry([0, "p &"]), "root.forms[0][1]: unexpected end of input",
+                     id="edit-derivation.sequent.forms[0][1]: unexpected end of input"),
+        pytest.param(_rel_entry(5), "root.rel[0] should be an array, not int",
                      id="edit-rel entry should be an array, not int"),
-        pytest.param(_rel_entry([1, 0]), "derivation.sequent.rel[0] should hold 3 values, not 2",
+        pytest.param(_rel_entry([1, 0]), "root.rel[0] should hold 3 values, not 2",
                      id="edit-rel entry should hold 3 values, not 2"),
-        (_rel_entry([2, 0, 0]), "derivation.sequent.rel[0][0] is agent 2, out of range 1..1"),
-        (_repeated_form, "derivation.premises[0].sequent.forms[3] repeats an earlier entry"),
+        pytest.param(_rel_entry([2, 0, 0]), "root.rel[0][0] is agent 2, out of range 1..1",
+                     id="edit-derivation.sequent.rel[0][0] is agent 2, out of range 1..1"),
+        pytest.param(_repeated_form, "steps[1].delta.forms[2] repeats an earlier entry",
+                     id="_repeated_form-derivation.premises[0].sequent.forms[3] repeats an earlier entry"),
+        (_no_version, "certificate lacks the key 'version'"),
+        (_version_1, "version should be 2, not 1"),
+        (_step(0, ["or", {"label": 0, "formula": "p | ~p"}, 1, {}]),
+         "steps[0] should hold 3 values, not 4"),
+        (_premise_count(0, 0), "steps[1] is left over: the steps before it make a whole tree"),
+        (_premise_count(1, 1), "steps[1] has 1 premise(s), but the steps end after 0 of them"),
+        (_premise_count(1, -1), "steps[1].premise_count is -1, below 0"),
+        (_premise_count(1, True), "steps[1].premise_count should be an int, not bool"),
+        (_delta(forms=[[0, "p"], [0, "p &"]]), "steps[1].delta.forms[1][1]: unexpected end of input"),
+        (_delta(rel=[]), "steps[1].delta.rel should not be empty"),
+        (_delta(rel=[[2, 0, 1]]), "steps[1].delta.rel[0][0] is agent 2, out of range 1..1"),
+        (_held_form, "steps[1].delta.forms[2] adds an entry its parent holds"),
+        (_delta(drop={}), "steps[1].delta.drop should not be empty"),
+        (_delta(drop={"forms": [[0, "p"]]}), "steps[1].delta.drop.forms[0] drops an entry its parent lacks"),
+        (_delta(drop={"bogus": 1}), "steps[1].delta.drop has an unknown key 'bogus'"),
     ],
 )
 def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, capsys):
-    """A premise that is not an object, a label that is not exactly an
-    int, a key the writer never writes, a missing key it always writes, an
-    unknown rule, a text that does not parse, an agent out of range and a
-    repeated entry are malformed: exit 2 with one line that names the value
+    """A step that is not an array or holds too few or too many values, a
+    label that is not exactly an int, a key the writer never writes, a
+    missing key it always writes, another version, an unknown rule, a text
+    that does not parse, an agent out of range, a premise count that leaves
+    steps over or short, an empty part of a delta, an added entry that the
+    parent holds or an earlier one repeats, and a dropped entry that the
+    parent lacks are malformed: exit 2 with one line that names the value
     by its JSON path, not a traceback, a coerced label or a valid
     certificate."""
     cert = tmp_path / "proof.json"
@@ -253,15 +345,10 @@ def emitted(tmp_path_factory):
 
 
 def _with_defaults(blob: dict) -> dict:
-    """``blob`` with the empty ``principal``, ``premises``, ``rel`` and
-    ``forms`` that the certificate reader takes for an absent key."""
-    todo = [blob["derivation"]]
-    while todo:
-        node = todo.pop()
-        node.setdefault("principal", {})
-        todo += node.setdefault("premises", [])
-        node["sequent"].setdefault("rel", [])
-        node["sequent"].setdefault("forms", [])
+    """``blob`` with the empty ``rel`` and ``forms`` that the reader takes
+    for a key absent from the root sequent."""
+    blob["root"].setdefault("rel", [])
+    blob["root"].setdefault("forms", [])
     return blob
 
 
@@ -272,7 +359,8 @@ def test_check_exits_0_only_on_a_certificate_that_reads_back_as_written(emitted,
     retyping a key, an entry or a value, or copying in another subtree.
     `check` exits 0, 1 or 2 and raises nothing, and it exits 0 only if the
     certificate writes back as the same JSON text, but for the defaults
-    the reader fills in: a `true` or `0.0` read as an int would show."""
+    the reader fills in: a `true` or `0.0` read as an int would show, and
+    so would a delta the writer would not write."""
     blobs, path = emitted
     mutant = data.draw(mutants(blobs))
     path.write_text(json.dumps(mutant))
@@ -286,13 +374,25 @@ def test_check_exits_0_only_on_a_certificate_that_reads_back_as_written(emitted,
         )
 
 
-def _deep_certificate(monkeypatch):
+def test_prove_writes_a_certificate_deeper_than_the_recursion_limit(
+    tmp_path, monkeypatch, capsys
+):
+    """A 2,000-node chain is written as 2,001 flat steps, and reads back
+    as the same text; ``check`` then judges it, at the root."""
     from stitprover import cli
 
     top = Derivation(LabelledSequent(), RuleTag.ID, {"label": 0, "atom": "p"})
     for _ in range(2000):
         top = Derivation(LabelledSequent(), RuleTag.OR, {}, (top,))
     monkeypatch.setattr(cli, "prove", lambda cfg, goal: Provable(top, SearchStats()))
+    cert = tmp_path / "proof.json"
+    assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    assert len(blob["steps"]) == 2001
+    assert derivation_to_json(*derivation_from_json(blob)) == blob
+    capsys.readouterr()
+    assert main(["check", str(cert)]) == 1
+    assert capsys.readouterr().out.startswith("invalid certificate at root: ")
 
 
 def _deep_json(monkeypatch):
@@ -304,12 +404,12 @@ def _deep_json(monkeypatch):
     monkeypatch.setattr(cli, "derivation_to_json", lambda cfg, root: {"d": obj})
 
 
-@pytest.mark.parametrize("too_deep", [_deep_certificate, _deep_json])
+@pytest.mark.parametrize("too_deep", [_deep_json])
 def test_prove_reports_a_certificate_too_deep_to_write(
     too_deep, tmp_path, monkeypatch, capsys
 ):
-    # A 2000-node chain fails in ``derivation_to_json``; a 2000-deep JSON
-    # value fails in the encoder, which runs before the file is opened.
+    # A 2000-deep JSON value fails in the encoder, which runs before the
+    # file is opened; no certificate is that deep.
     too_deep(monkeypatch)
     cert = tmp_path / "proof.json"
     assert main(["prove", "p | ~p", "--emit-proof", str(cert)]) == 3
