@@ -450,7 +450,8 @@ def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
         if parent is not None:
             step.append(_delta_to_json(parent.conclusion, node.conclusion, shown))
         steps.append(step)
-        todo.extend((premise, node) for premise in reversed(node.premises))
+        for premise in reversed(node.premises):
+            todo.append((premise, node))
     return {
         "m": cfg.agents,
         "n": cfg.choices,

@@ -13,7 +13,7 @@ the whole graph or along one agent's atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .formula import Formula, ParseError, parse, pretty
 
@@ -216,15 +216,23 @@ def _delta_to_json(
     written.  ``_delta_from_json`` gives back ``child`` whenever its entries
     are its parent's, less the dropped ones, then the added ones, as a
     search builds them; otherwise an equal sequent in that order."""
-    rel, lost_rel = _difference(parent.rel, child.rel, child._rel_set)
-    forms, lost_forms = _difference(parent.forms, child.forms, child._forms_set)
-    delta = _parts_to_json(rel, forms, shown)
+    rel, forms = child.rel, child.forms
+    n, k = len(parent.rel), len(parent.forms)
+    if rel[:n] == parent.rel and forms[:k] == parent.forms:  # nothing dropped
+        return _parts_to_json(rel[n:], forms[k:], shown)
+    delta = _parts_to_json(
+        [x for x in rel if x not in parent._rel_set],
+        [x for x in forms if x not in parent._forms_set],
+        shown,
+    )
+    lost_rel = [x for x in parent.rel if x not in child._rel_set]
+    lost_forms = [x for x in parent.forms if x not in child._forms_set]
     if lost_rel or lost_forms:
         delta["drop"] = _parts_to_json(lost_rel, lost_forms, shown)
     return delta
 
 
-def _parts_to_json(rel: tuple, forms: tuple, shown: dict[Formula, str]) -> dict:
+def _parts_to_json(rel: Sequence, forms: Sequence, shown: dict[Formula, str]) -> dict:
     """``rel`` and ``forms`` as a sequent's parts, each only if it holds an entry."""
     parts: dict = {}
     if rel:
@@ -232,18 +240,6 @@ def _parts_to_json(rel: tuple, forms: tuple, shown: dict[Formula, str]) -> dict:
     if forms:
         parts["forms"] = [[label, _text_of(f, shown)] for label, f in forms]
     return parts
-
-
-def _difference(old: tuple, new: tuple, new_set: frozenset) -> tuple[tuple, tuple]:
-    """The entries of ``new`` not in ``old``, and those of ``old`` not in
-    ``new``; a ``new`` that starts with all of ``old`` takes one comparison."""
-    if new[: len(old)] == old:
-        return new[len(old) :], ()
-    old_set = set(old)
-    return (
-        tuple(x for x in new if x not in old_set),
-        tuple(x for x in old if x not in new_set),
-    )
 
 
 def _text_of(f: Formula, shown: dict[Formula, str]) -> str:
