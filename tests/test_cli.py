@@ -141,22 +141,16 @@ def test_check_rejects_malformed_files(tmp_path, capsys):
     )
 
 
-def _chain(steps: int) -> dict:
-    """A certificate written by hand: ``steps`` ``or`` steps, each the one
-    premise of the one before, over an ``id`` leaf, all with an empty
-    sequent and no principal data."""
-    return {
+def test_check_reads_a_certificate_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """Written by hand: 2,000 ``or`` steps, each the one premise of the one
+    before, over an ``id`` leaf, all with an empty sequent and no principal
+    data.  The chain is as flat in JSON as a chain of one: the reader
+    builds the tree as written, and ``check`` judges it, at the root."""
+    blob = {
         "m": 1, "n": 0, "mode": "refined", "version": 2,
         "root": {"rel": [], "forms": []},
-        "steps": [["or", {}, 1]] + [["or", {}, 1, {}]] * (steps - 1) + [["id", {}, 0, {}]],
+        "steps": [["or", {}, 1]] + [["or", {}, 1, {}]] * 1999 + [["id", {}, 0, {}]],
     }
-
-
-def test_check_reads_a_certificate_deeper_than_the_recursion_limit(tmp_path, capsys):
-    """A chain of 2,000 steps is as flat in JSON as a chain of one: the
-    reader takes it, builds the tree as written, and ``check`` judges it,
-    at the root, which has no principal data."""
-    blob = _chain(2000)
     cfg, root = derivation_from_json(blob)
     assert root.size() == 2001
     assert derivation_to_json(cfg, root) == blob
