@@ -16,7 +16,9 @@ conditions and returns the sequent the premises extend (the conclusion, or
 for the G3 agentive box the conclusion less its principal formula) and what
 each premise adds, relational atoms and labelled formulas.  A node's stored
 premises must equal those extensions as a multiset, so a certificate cannot
-smuggle in or lose formulas.  Rules with an eigenvariable require the new
+smuggle in or lose formulas: each premise is compared with its extension in
+premise order, by set algebra on the stored sets, and only if that fails
+are they compared as a multiset.  Rules with an eigenvariable require the new
 label to be absent from the conclusion.  Well-formedness (every agent in
 ``1..m``) is checked once per call, on the root; ``check_derivation`` says
 why that covers every node.
@@ -58,17 +60,23 @@ from typing import Any, Mapping, NoReturn, Sequence
 
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
 from .formula import ParseError
-from .formula import agents_of, pretty
+from .formula import agents_of, pretty, printed
 from .sequent import (
+    _SEQUENT_KEYS,
     Label,
     LabelledFormula,
     LabelledSequent,
     RelAtom,
-    _delta_from_json,
+    _blank,
     _delta_to_json,
     _exact,
+    _fill,
+    _forms_from_json,
     _formula_of,
     _keys,
+    _less,
+    _new,
+    _rel_from_json,
     _sequent_from_json,
     _sequent_to_json,
     _text_of,
@@ -256,8 +264,8 @@ def _check_sequent_wellformed(cfg: CalculusConfig, s: LabelledSequent) -> None:
 
 
 def _check_node(cfg: CalculusConfig, node: Derivation) -> None:
-    """One inference: the rule's side conditions, then its premises, as a
-    multiset, against the extensions that ``_additions`` prescribes."""
+    """One inference: the rule's side conditions, then its premises against
+    the extensions that ``_additions`` prescribes, in order, else as a multiset."""
     if node.rule not in _ALLOWED[cfg.mode]:
         _fail(f"rule {node.rule.value} is not part of the {cfg.mode.value} calculus")
     base, additions = _additions(cfg, node.conclusion, node.rule, node.principal)
@@ -266,6 +274,13 @@ def _check_node(cfg: CalculusConfig, node: Derivation) -> None:
             f"rule {node.rule.value} expects {len(additions)} premise(s), "
             f"found {len(node.premises)}"
         )
+    held_rel, held_forms = base._rel_set, base._forms_set
+    for premise, (rel, forms) in zip(node.premises, additions):
+        s = premise.conclusion
+        if s._forms_set != held_forms.union(forms) or s._rel_set != held_rel.union(rel):
+            break
+    else:
+        return
     expected = Counter(base.extended(rel, forms) for rel, forms in additions)
     if Counter(p.conclusion for p in node.premises) != expected:
         _fail(f"premises do not match the additions of rule {node.rule.value}")
@@ -422,25 +437,26 @@ def _witness(principal: Mapping[str, Any], concl: LabelledSequent) -> Label:
 # Certificate serialization
 # ---------------------------------------------------------------------------
 
-_FORMULA_KEYS = frozenset({"formula"})
-_TUPLE_KEYS = frozenset({"targets", "roots"})
-
-# The keys of a certificate, and of a node's principal data (every key of
-# the table in the module docstring).
+# The keys of a certificate and of a step's delta, and of a node's principal
+# data (every key of the table in the module docstring) with the JSON type
+# of each value.
 _CERTIFICATE_KEYS = ("m", "n", "mode", "version", "root", "steps")
 _VERSION = 2
-_PRINCIPAL_KEYS = frozenset({
-    "label", "atom", "formula", "fresh", "witness", "agent",
-    "apex", "source", "target", "targets", "roots",
-})
+_DELTA_KEYS = frozenset({"rel", "forms", "drop"})
+_PRINCIPAL_KINDS = {
+    "label": int, "atom": str, "formula": str, "fresh": int, "witness": int,
+    "agent": int, "apex": int, "source": int, "target": int,
+    "targets": list, "roots": list,
+}
 
 
 def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
     """The certificate of ``root``: its root sequent, then one step per
     node in pre-order, ``[rule, principal, premise count, delta]``, where
     the delta is the node's conclusion against its parent's and the root's
-    step has none.  Each distinct formula is printed once."""
-    shown: dict[Formula, str] = {}
+    step has none.  Each distinct formula is printed once: the root's
+    subformulas by one fold, any other formula when it is first met."""
+    shown = printed(*(f for _, f in root.conclusion.forms))
     steps = []
     todo: list[tuple[Derivation, Derivation | None]] = [(root, None)]
     while todo:
@@ -465,9 +481,9 @@ def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
 def _principal_to_json(given: Mapping[str, Any], shown: dict[Formula, str]) -> dict:
     principal = {}
     for key, value in given.items():
-        if key in _FORMULA_KEYS:
+        if key == "formula":
             principal[key] = _text_of(value, shown)
-        elif key in _TUPLE_KEYS:
+        elif _PRINCIPAL_KINDS.get(key) is list:
             principal[key] = list(value)
         else:
             principal[key] = value
@@ -482,9 +498,10 @@ def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
     formulas strings, exactly: nothing is coerced.  A key the writer does
     not write, a missing one, a delta it would not write and a premise
     count that leaves steps over or short are refused, and a refusal names
-    the value by its JSON path, as ``steps[3].delta.forms[0][1]``.  Each
-    distinct formula text is parsed once, and every occurrence of it reads
-    as that one formula object."""
+    the value by its JSON path, as ``steps[3].delta.forms[0][1]``.  The
+    printed text of each subformula of the root reads as that subformula,
+    and any other text is parsed once per call, so a prover's certificate
+    parses only its root and each text reads as one formula object."""
     _keys(_exact(obj, dict, "certificate"), _CERTIFICATE_KEYS,
           frozenset(_CERTIFICATE_KEYS), "certificate")
     version = _exact(obj["version"], int, "version")
@@ -500,9 +517,10 @@ def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
     if not steps:
         raise ValueError("steps should hold the root's step")
     conclusion = _sequent_from_json(obj["root"], agents, parsed, "root")
-    # The nodes whose premises are still being read, innermost last: step
-    # index, premise count, premises read, conclusion, rule, principal.
-    open_: list[tuple[int, int, list, LabelledSequent, RuleTag, dict]] = []
+    parsed.update((text, f) for f, text in printed(*(f for _, f in conclusion.forms)).items())
+    # The nodes whose premises are still being read, innermost last: premise
+    # count, premises read, conclusion, rule, principal, step index.
+    open_: list[tuple[int, list, LabelledSequent, RuleTag, dict, int]] = []
     for i, step in enumerate(steps):
         where = f"steps[{i}]"
         size = 4 if i else 3
@@ -512,52 +530,79 @@ def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
         if i and not open_:
             raise ValueError(f"{where} is left over: the steps before it make a whole tree")
         rule = _enum(RuleTag, step[0], where, ".rule")
-        principal = _principal_from_json(step[1], agents, where, parsed)
-        count = _exact(step[2], int, where, ".premise_count")
-        if count < 0:
+        given = step[1]
+        if type(given) is not dict or not given.keys() <= _PRINCIPAL_KINDS.keys():
+            _keys(_exact(given, dict, where, ".principal"), (),
+                  _PRINCIPAL_KINDS.keys(), where, ".principal")
+        principal: dict[str, Any] = {}
+        for key, value in given.items():
+            kind = _PRINCIPAL_KINDS[key]
+            if type(value) is not kind:
+                _exact(value, kind, where, ".principal.", key)
+            if key == "formula":
+                try:
+                    value = _formula_of(value, agents, parsed)
+                except ParseError as err:
+                    raise ValueError(f"{where}.principal.{key}: {err}") from None
+            elif kind is list:
+                for at, item in enumerate(value):
+                    if type(item) is not int:
+                        _exact(item, int, f"{where}.principal.{key}[{at}]")
+                value = tuple(value)
+            principal[key] = value
+        count = step[2]
+        if type(count) is not int or count < 0:
+            _exact(count, int, where, ".premise_count")
             raise ValueError(f"{where}.premise_count is {count}, below 0")
-        if i:
-            conclusion = _delta_from_json(step[3], open_[-1][3], agents, parsed,
-                                          where, ".delta")
-        open_.append((i, count, [], conclusion, rule, principal))
-        while open_ and len(open_[-1][2]) == open_[-1][1]:
-            _, _, premises, *fields = open_.pop()
-            node = Derivation(*fields, tuple(premises))
-            if open_:
-                open_[-1][2].append(node)
+        if i:  # the delta: the parent's entries less those dropped, then those added
+            delta, parent, sides = step[3], open_[-1][2], []
+            if type(delta) is not dict or not delta.keys() <= _DELTA_KEYS:
+                _keys(_exact(delta, dict, where, ".delta"), (), _DELTA_KEYS, where, ".delta")
+            drop = delta.get("drop", {})
+            if "drop" in delta and not _keys(
+                _exact(drop, dict, where, ".delta.drop"), (), _SEQUENT_KEYS, where, ".delta.drop"
+            ):
+                raise ValueError(f"{where}.delta.drop should not be empty")
+            for field, entries, held, read in (
+                ("rel", parent.rel, parent._rel_set, _rel_from_json),
+                ("forms", parent.forms, parent._forms_set, _forms_from_json),
+            ):
+                kept = held
+                for part, at in ((drop, ".delta.drop."), (delta, ".delta.")):
+                    if field not in part:
+                        continue
+                    items = read(part[field], agents, parsed, where, at, field)
+                    if not items:
+                        raise ValueError(f"{where}{at}{field} should not be empty")
+                    if part is drop:
+                        entries = _less(entries, items, held, where, at, field)
+                        kept = held.difference(items)
+                        continue
+                    joined = kept.union(items)
+                    if kept is not held or len(joined) != len(held) + len(items):
+                        _new(items, held, where, at, field)
+                    entries, kept = entries + tuple(items), joined
+                sides += (entries, kept)
+            rel, rel_set, forms, forms_set = sides
+            conclusion = _fill(_blank(LabelledSequent), rel, forms, rel_set, forms_set)
+        if count:
+            open_.append((count, [], conclusion, rule, principal, i))
+            continue
+        node = Derivation(conclusion, rule, principal)
+        while open_:  # close each node whose last premise this completes
+            top = open_[-1]
+            top[1].append(node)
+            if len(top[1]) < top[0]:
+                break
+            open_.pop()
+            node = Derivation(top[2], top[3], top[4], tuple(top[1]))
     if open_:
-        i, count, premises, *_ = open_[-1]
+        count, premises, *_, i = open_[-1]
         raise ValueError(
             f"steps[{i}] has {count} premise(s), but the steps end after "
             f"{len(premises)} of them"
         )
     return cfg, node
-
-
-def _principal_from_json(
-    given: dict, agents: int, path: str, parsed: dict[str, Formula]
-) -> dict[str, Any]:
-    _keys(_exact(given, dict, path, ".principal"), (), _PRINCIPAL_KEYS, path, ".principal")
-    principal: dict[str, Any] = {}
-    for key, value in given.items():
-        if key in _FORMULA_KEYS:
-            text = _exact(value, str, path, ".principal.", key)
-            try:
-                principal[key] = _formula_of(text, agents, parsed)
-            except ParseError as err:
-                raise ValueError(f"{path}.principal.{key}: {err}") from None
-        elif key in _TUPLE_KEYS:
-            items = _exact(value, list, path, ".principal.", key)
-            for item in items:
-                if type(item) is not int:
-                    at = next(i for i, x in enumerate(items) if x is item)
-                    _exact(item, int, f"{path}.principal.{key}[{at}]")
-            principal[key] = tuple(items)
-        elif key == "atom":
-            principal[key] = _exact(value, str, path, ".principal.", key)
-        else:
-            principal[key] = _exact(value, int, path, ".principal.", key)
-    return principal
 
 
 def _enum(kind: type[Enum], value: Any, *field: str) -> Any:

@@ -530,41 +530,60 @@ _PREC_OR = 1
 _PREC_AND = 2
 _PREC_UNARY = 3
 _PREC_ATOM = 4
+_PRECEDENCE = {
+    Atom: _PREC_ATOM, NegAtom: _PREC_ATOM, And: _PREC_AND, Or: _PREC_OR,
+    Box: _PREC_UNARY, Dia: _PREC_UNARY, AgBox: _PREC_UNARY, AgDia: _PREC_UNARY,
+}
+_PREFIX = {Box: "box ", Dia: "dia ", AgBox: "[{}] ", AgDia: "<{}> "}
 
 
 def pretty(f: Formula) -> str:
     """Render with minimal parentheses; `parse(pretty(f)) == f`."""
-    return _fold(f, _show_literal, _show_connective)[0]
+    return printed(f)[f]
 
 
-def _show_literal(g: Formula) -> tuple[str, int]:
-    return (g.name if type(g) is Atom else f"~{g.name}"), _PREC_ATOM
+def printed(*formulas: Formula) -> dict[Formula, str]:
+    """The text `pretty` gives each distinct subformula of ``formulas``, by
+    one fold on an explicit stack that prints each shared node once, and
+    parenthesises an operand of lower precedence than its place admits.
+    The certificate writer and reader seed their memos with the root's."""
+    texts: dict[Formula, str] = {}
+    todo: list = list(formulas)
+    while todo:
+        g = todo.pop()
+        cls = type(g)
+        if cls is tuple:  # a connective whose operands are printed
+            g = g[0]
+            cls = type(g)
+            if g is TRUE or g is FALSE:
+                texts[g] = "true" if g is TRUE else "false"
+            elif cls is And or cls is Or:
+                prec = _PRECEDENCE[cls]
+                left, right = texts[g.left], texts[g.right]
+                # Left-associative chains print flat; a right-nested `&`
+                # needs parentheses to survive the round trip.
+                if _precedence(g.left) < prec:
+                    left = f"({left})"
+                if _precedence(g.right) <= prec:
+                    right = f"({right})"
+                texts[g] = f"{left} {'&' if cls is And else '|'} {right}"
+            else:
+                body = texts[g.body]
+                if _precedence(g.body) < _PREC_UNARY:
+                    body = f"({body})"
+                texts[g] = _PREFIX[cls].format(getattr(g, "agent", None)) + body
+        elif g in texts:
+            continue
+        elif cls is Atom or cls is NegAtom:
+            texts[g] = g.name if cls is Atom else f"~{g.name}"
+        elif cls is And or cls is Or:
+            todo += ((g,), g.right, g.left)
+        elif cls in _MODAL:
+            todo += ((g,), g.body)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return texts
 
 
-def _show_connective(g: Formula, operands: list[tuple[str, int]]) -> tuple[str, int]:
-    """The text of ``g`` and its precedence, given its operands'; an operand
-    of lower precedence than its place admits is parenthesised."""
-    cls = type(g)
-    if cls is And or cls is Or:
-        if g is TRUE or g is FALSE:
-            return ("true" if cls is Or else "false"), _PREC_ATOM
-        prec, op = (_PREC_AND, "&") if cls is And else (_PREC_OR, "|")
-        (left, left_prec), (right, right_prec) = operands
-        # Left-associative chains print flat; a right-nested `&` needs
-        # parentheses to survive the round trip.
-        if left_prec < prec:
-            left = f"({left})"
-        if right_prec <= prec:
-            right = f"({right})"
-        return f"{left} {op} {right}", prec
-    ((body, body_prec),) = operands
-    if body_prec < _PREC_UNARY:
-        body = f"({body})"
-    if cls is Box:
-        return f"box {body}", _PREC_UNARY
-    if cls is Dia:
-        return f"dia {body}", _PREC_UNARY
-    if cls is AgBox:
-        return f"[{g.agent}] {body}", _PREC_UNARY
-    return f"<{g.agent}> {body}", _PREC_UNARY
-
+def _precedence(g: Formula) -> int:
+    return _PREC_ATOM if g is TRUE or g is FALSE else _PRECEDENCE[type(g)]

@@ -39,17 +39,18 @@ class LabelledSequent:
     returns, where it is the choice bound that search found it stable at;
     ``extract_countermodel`` trusts it for that bound alone.  Only
     ``from_distinct`` sets it, when asked, so a copy or an extension carries
-    no mark.
+    no mark.  The hash and the labels are worked out on first use.
     """
 
-    __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_hash", "_stable_at")
+    __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_hash", "_labels", "_stable_at")
 
     def __init__(
         self,
         rel: Iterable[RelAtom] = (),
         forms: Iterable[LabelledFormula] = (),
     ):
-        self._fill(tuple(dict.fromkeys(rel)), tuple(dict.fromkeys(forms)), None)
+        rel, forms = tuple(dict.fromkeys(rel)), tuple(dict.fromkeys(forms))
+        _fill(self, rel, forms, frozenset(rel), frozenset(forms))
 
     @classmethod
     def from_distinct(
@@ -61,23 +62,8 @@ class LabelledSequent:
         """The sequent of ``rel`` and ``forms``, in their order, when neither
         holds a duplicate: it skips the pass that drops them.  A search
         passes ``stable_at`` for the stable sequent it returns."""
-        s = cls.__new__(cls)
-        s._fill(tuple(rel), tuple(forms), stable_at)
-        return s
-
-    def _fill(
-        self,
-        rel: tuple[RelAtom, ...],
-        forms: tuple[LabelledFormula, ...],
-        stable_at: int | None,
-    ) -> None:
-        put = object.__setattr__
-        put(self, "rel", rel)
-        put(self, "forms", forms)
-        put(self, "_rel_set", frozenset(rel))
-        put(self, "_forms_set", frozenset(forms))
-        put(self, "_hash", hash((self._rel_set, self._forms_set)))
-        put(self, "_stable_at", stable_at)
+        rel, forms = tuple(rel), tuple(forms)
+        return _fill(_blank(cls), rel, forms, frozenset(rel), frozenset(forms), stable_at)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"LabelledSequent is immutable: cannot set {name!r}")
@@ -91,7 +77,11 @@ class LabelledSequent:
         return self._rel_set == other._rel_set and self._forms_set == other._forms_set
 
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            value = hash((self._rel_set, self._forms_set))
+            _set_hash(self, value)
+        return value
 
     def __repr__(self) -> str:
         return f"LabelledSequent({self.show()!r})"
@@ -114,11 +104,15 @@ class LabelledSequent:
 
     def labels(self) -> tuple[Label, ...]:
         """All labels occurring in the sequent, ascending."""
-        seen = {w for w, _ in self.forms}
-        for _, s, t in self.rel:
-            seen.add(s)
-            seen.add(t)
-        return tuple(sorted(seen))
+        labels = self._labels
+        if labels is None:
+            seen = {w for w, _ in self.forms}
+            for _, s, t in self.rel:
+                seen.add(s)
+                seen.add(t)
+            labels = tuple(sorted(seen))
+            _set_labels(self, labels)
+        return labels
 
     # -- functional updates ------------------------------------------------
 
@@ -132,6 +126,27 @@ class LabelledSequent:
     def without_form(self, label: Label, formula: Formula) -> "LabelledSequent":
         drop = LabelledFormula(label, formula)
         return LabelledSequent(self.rel, (lf for lf in self.forms if lf != drop))
+
+
+# The slots' own setters, past the `__setattr__` that refuses every
+# assignment: a sequent's fields are set once, as it is made.
+_blank = object.__new__
+(_set_rel, _set_forms, _set_rel_set, _set_forms_set, _set_hash, _set_labels,
+ _set_stable_at) = (getattr(LabelledSequent, name).__set__ for name in LabelledSequent.__slots__)
+
+
+def _fill(s: LabelledSequent, rel: tuple, forms: tuple, rel_set: frozenset,
+          forms_set: frozenset, stable_at: int | None = None) -> LabelledSequent:
+    """``s``, made the sequent of ``rel`` and ``forms``, whose sets are
+    ``rel_set`` and ``forms_set``."""
+    _set_rel(s, rel)
+    _set_forms(s, forms)
+    _set_rel_set(s, rel_set)
+    _set_forms_set(s, forms_set)
+    _set_hash(s, None)
+    _set_labels(s, None)
+    _set_stable_at(s, stable_at)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +271,6 @@ def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
 
 
 _SEQUENT_KEYS = frozenset({"rel", "forms"})
-_DELTA_KEYS = frozenset({"rel", "forms", "drop"})
 _REL_KINDS = [int, int, int]  # agent, source, target
 _FORM_KINDS = [int, str]  # label, formula text
 
@@ -268,80 +282,55 @@ def _sequent_from_json(
     ``where``, joined only then, as ``root``.  A sequent is two sets, so an
     entry may not repeat an earlier one."""
     _keys(_exact(obj, dict, *where), (), _SEQUENT_KEYS, *where)
-    rel = _rel_from_json(obj, agents, where)
-    forms = _forms_from_json(obj, agents, parsed, where)
+    rel = _rel_from_json(obj.get("rel", []), agents, parsed, *where, ".rel")
+    forms = _forms_from_json(obj.get("forms", []), agents, parsed, *where, ".forms")
     return LabelledSequent.from_distinct(
         _new(rel, frozenset(), *where, ".rel"), _new(forms, frozenset(), *where, ".forms")
     )
 
 
-def _delta_from_json(
-    obj: dict,
-    parent: LabelledSequent,
-    agents: int,
-    parsed: dict[str, Formula],
-    *where: str,
-) -> LabelledSequent:
-    """The sequent that the delta ``obj`` makes of ``parent``: the parent's
-    entries less those under ``drop``, in the parent's order, then the
-    added ``rel`` and ``forms``.  The writer writes a part only when it
-    holds an entry, adds only what the parent lacks and drops only what it
-    holds, in its order; anything else is refused, so a delta that is read
-    writes back as it was read."""
-    _keys(_exact(obj, dict, *where), (), _DELTA_KEYS, *where)
-    drop, at = obj.get("drop", {}), (*where, ".drop")
-    if "drop" in obj and not _keys(_exact(drop, dict, *at), (), _SEQUENT_KEYS, *at):
-        raise ValueError(f"{''.join(at)} should not be empty")
-    sides = []
-    for field, entries, held in (
-        ("rel", parent.rel, parent._rel_set),
-        ("forms", parent.forms, parent._forms_set),
-    ):
-        if field in drop:
-            gone = _part(drop, field, agents, parsed, at)
-            entries = _less(entries, gone, held, *at, ".", field)
-        if field in obj:
-            added = _part(obj, field, agents, parsed, where)
-            entries += _new(added, held, *where, ".", field)
-        sides.append(entries)
-    return LabelledSequent.from_distinct(*sides)
-
-
-def _part(
-    obj: dict, field: str, agents: int, parsed: dict[str, Formula], where: tuple[str, ...]
-) -> list:
-    """The entries of a delta's ``rel`` or ``forms``, of which there is one
-    at least: the writer leaves an empty part out."""
-    if field == "rel":
-        items = _rel_from_json(obj, agents, where)
-    else:
-        items = _forms_from_json(obj, agents, parsed, where)
-    if not items:
-        raise ValueError(f"{''.join(where)}.{field} should not be empty")
-    return items
-
-
-def _rel_from_json(obj: dict, agents: int, where: tuple[str, ...]) -> list[RelAtom]:
-    rel = _entries(obj, "rel", _REL_KINDS, where)
-    for at, (agent, _, _) in enumerate(rel):
-        if not 1 <= agent <= agents:
-            raise ValueError(
-                f"{''.join(where)}.rel[{at}][0] is agent {agent}, out of range 1..{agents}"
-            )
-    return [RelAtom(*atom) for atom in rel]
+def _rel_from_json(items: Any, agents: int, _: Any, *field: str) -> list[RelAtom]:
+    """The array ``items`` of relational atoms ``[agent, source, target]``
+    of agents ``1..agents``, as `_forms_from_json` reads formulas; a
+    refusal names the first agent out of range if `_refuse` finds nothing."""
+    if type(items) is not list:
+        _exact(items, list, *field)
+    atoms = []
+    for entry in items:
+        if type(entry) is list and len(entry) == 3:
+            agent, source, target = entry
+            if type(agent) is int and type(source) is int and type(target) is int:
+                if 1 <= agent <= agents:
+                    atoms.append(RelAtom(agent, source, target))
+                    continue
+        _refuse(items, _REL_KINDS, *field)
+        raise ValueError(f"{''.join(field)}[{len(atoms)}][0] is agent {entry[0]}, "
+                         f"out of range 1..{agents}")
+    return atoms
 
 
 def _forms_from_json(
-    obj: dict, agents: int, parsed: dict[str, Formula], where: tuple[str, ...]
+    items: Any, agents: int, parsed: dict[str, Formula], *field: str
 ) -> list[LabelledFormula]:
-    entries = _entries(obj, "forms", _FORM_KINDS, where)
-    try:
-        return [
-            LabelledFormula(w, _formula_of(text, agents, parsed)) for w, text in entries
-        ]
-    except ParseError as err:  # at the first text not yet parsed
-        at = next(i for i, (_, text) in enumerate(entries) if text not in parsed)
-        raise ValueError(f"{''.join(where)}.forms[{at}][1]: {err}") from None
+    """The array ``items`` of labelled formulas ``[label, text]``, each entry
+    checked as it is read and each text read through the memo ``parsed``.
+    A refusal names the array by the parts of ``field`` and the entry as
+    `_refuse` finds it, or else the first text that does not parse."""
+    if type(items) is not list:
+        _exact(items, list, *field)
+    forms = []
+    for entry in items:
+        if type(entry) is list and len(entry) == 2:
+            label, text = entry
+            if type(label) is int and type(text) is str:
+                try:
+                    forms.append(LabelledFormula(label, _formula_of(text, agents, parsed)))
+                except ParseError as err:
+                    _refuse(items, _FORM_KINDS, *field)
+                    raise ValueError(f"{''.join(field)}[{len(forms)}][1]: {err}") from None
+                continue
+        _refuse(items, _FORM_KINDS, *field)
+    return forms
 
 
 def _new(items: list, held: frozenset, *field: str) -> tuple:
@@ -366,26 +355,10 @@ def _less(entries: tuple, items: list, held: frozenset, *field: str) -> tuple:
     return tuple(x for x in entries if x not in gone)
 
 
-def _entries(obj: dict, field: str, kinds: list[type], where: tuple[str, ...]) -> list:
-    """The array ``obj[field]``, each entry an array of values of exactly
-    the types ``kinds``, checked a column at a time.  A refusal names the
-    entry, as ``steps[3].delta.forms[0]``; its index is found only then."""
-    entries = _exact(obj.get(field, []), list, *where, ".", field)
-    size = len(kinds)
-    for entry in entries:
-        if type(entry) is not list or len(entry) != size:
-            _refuse(entries, kinds, *where, ".", field)
-    for i, kind in enumerate(kinds):
-        for entry in entries:
-            if type(entry[i]) is not kind:
-                _refuse(entries, kinds, *where, ".", field)
-    return entries
-
-
 def _refuse(entries: list, kinds: list[type], *field: str) -> None:
     """Raise the ``ValueError`` that names the first entry of ``entries``
     not of the shape, or else the first value not of the type, ``kinds``
-    gives."""
+    gives, if there is one."""
     where = "".join(field)
     for i, entry in enumerate(entries):
         _exact(entry, list, f"{where}[{i}]")

@@ -37,6 +37,7 @@ from stitprover import (
     prove,
     sequent,
 )
+from stitprover import calculus
 from stitprover.formula import atoms
 
 P, Q = Atom("p"), Atom("q")
@@ -723,6 +724,59 @@ def _nodes(root):
         stack.extend(node.premises)
 
 
+def _with_paths(root):
+    """Each node of ``root`` with its path as `check_derivation` names it
+    and as a tuple of premise indices."""
+    stack = [(root, "root", ())]
+    while stack:
+        node, path, at = stack.pop()
+        yield node, path, at
+        for i, premise in enumerate(node.premises):
+            stack.append((premise, f"{path}.premises[{i}]", at + (i,)))
+
+
+def _edited(node, at, change):
+    """``node`` with ``change`` applied to its node at the indices ``at``."""
+    if not at:
+        return change(node)
+    i, premises = at[0], list(node.premises)
+    premises[i] = _edited(premises[i], at[1:], change)
+    return replace(node, premises=tuple(premises))
+
+
+def test_premises_in_another_order_or_of_another_node_keep_their_verdicts():
+    """The checker compares each premise with its extension in premise
+    order, and only then as a multiset.  So the premises of an ``and`` or
+    an ``apc`` node are still accepted in any order, and a premise swapped
+    for another node's is refused at its parent, with the multiset
+    comparison's message."""
+    certificates = [_bc3_certificate(), ioa_two_agent_fixture()]
+    branching = Counter()
+    for cfg, root in certificates:
+        nodes = list(_with_paths(root))
+        for node, path, at in nodes:
+            premises = node.premises
+            if len(premises) > 1:
+                branching[node.rule] += 1
+                orders = [premises[k:] + premises[:k] for k in range(1, len(premises))]
+                for order in orders + [premises[::-1]]:
+                    moved = _edited(root, at, lambda n: replace(n, premises=order))
+                    assert check_derivation(cfg, moved) == CheckResult(True)
+            for other, _, _ in nodes:
+                if premises and other.conclusion != premises[0].conclusion:
+                    swapped = (other,) + premises[1:]
+                    result = check_derivation(
+                        cfg, _edited(root, at, lambda n: replace(n, premises=swapped))
+                    )
+                    assert result == CheckResult(
+                        False,
+                        f"premises do not match the additions of rule {node.rule.value}",
+                        path,
+                    )
+                    break
+    assert branching[RuleTag.AND] >= 1 and branching[RuleTag.APC] >= 1
+
+
 def _counting(monkeypatch, module, name):
     """Count the calls to ``module.name`` by their first argument."""
     calls = Counter()
@@ -738,8 +792,10 @@ def _counting(monkeypatch, module, name):
 
 def test_a_certificate_reader_parses_each_distinct_text_once_per_call(monkeypatch):
     """The memo from text to formula lives for one `derivation_from_json`
-    call: within it each distinct text is parsed once, and the next call
-    parses them all again."""
+    call, seeded with the texts of the root's subformulas.  A prover-written
+    certificate's formulas are all subformulas of its root's, so only the
+    root's texts are parsed, once a call; a hand-edited text outside them is
+    parsed once a call however often it occurs."""
     cfg, root = _bc3_certificate()
     blob = derivation_to_json(cfg, root)
     texts = Counter()
@@ -748,25 +804,52 @@ def test_a_certificate_reader_parses_each_distinct_text_once_per_call(monkeypatc
         if "formula" in node.principal:
             texts[pretty(node.principal["formula"])] += 1
     assert sum(texts.values()) > 5 * len(texts)  # texts repeat across nodes
+    root_texts = [text for _, text in blob["root"]["forms"]]
     calls = _counting(monkeypatch, sequent, "parse")
     cfg2, root2 = derivation_from_json(blob)
-    assert calls == Counter(dict.fromkeys(texts, 1))
+    assert calls == Counter(dict.fromkeys(root_texts, 1))
     assert (cfg2, root2) == (cfg, root) and check_derivation(cfg2, root2).ok
     derivation_from_json(blob)
-    assert calls == Counter(dict.fromkeys(texts, 2))
+    assert calls == Counter(dict.fromkeys(root_texts, 2))
+
+    text = json.dumps(blob)
+    assert text.count('"~p"') > 1
+    edited = json.loads(text.replace('"~p"', '"(~p)"'))
+    calls.clear()
+    assert derivation_from_json(edited) == (cfg, root)
+    assert calls == Counter(dict.fromkeys(root_texts + ["(~p)"], 1))
 
 
 def test_a_certificate_writer_prints_each_distinct_formula_once_per_call(monkeypatch):
-    """Likewise the memo from formula to text of `derivation_to_json`."""
+    """Likewise the memo from formula to text of `derivation_to_json`: one
+    fold prints the root's subformulas, and any other formula is printed
+    once a call when it is first met."""
     cfg, root = _bc3_certificate()
-    formulas = {f for node in _nodes(root) for _, f in node.conclusion.forms}
-    formulas |= {n.principal["formula"] for n in _nodes(root) if "formula" in n.principal}
     blob = derivation_to_json(cfg, root)
+    folds = []
+    real_printed = calculus.printed
+    monkeypatch.setattr(
+        calculus, "printed", lambda *formulas: folds.append(formulas) or real_printed(*formulas)
+    )
     calls = _counting(monkeypatch, sequent, "pretty")
     assert derivation_to_json(cfg, root) == blob
-    assert calls == Counter(dict.fromkeys(formulas, 1))
-    derivation_to_json(cfg, root)
-    assert calls == Counter(dict.fromkeys(formulas, 2))
+    assert folds == [tuple(f for _, f in root.conclusion.forms)] and calls == Counter()
+
+    outside = Atom("s")
+    edited = _mapped(root, lambda node: replace(
+        node, principal={**node.principal, "formula": outside}
+    ) if "formula" in node.principal else node)
+    assert sum("formula" in node.principal for node in _nodes(edited)) > 1
+    derivation_to_json(cfg, edited)
+    assert calls == Counter({outside: 1})
+    derivation_to_json(cfg, edited)
+    assert calls == Counter({outside: 2})
+
+
+def _mapped(node, change):
+    """``node`` with ``change`` applied to each of its nodes, premises first."""
+    premises = tuple(_mapped(p, change) for p in node.premises)
+    return change(replace(node, premises=premises))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import copy
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from json_mutants import mutants
+from test_calculus import ioa_two_agent_fixture
 
 from stitprover import (
     Derivation,
@@ -73,6 +75,35 @@ def test_prove_and_check_round_trip(tmp_path, capsys):
                  "--emit-proof", str(cert)]) == 0
     assert main(["check", str(cert)]) == 0
     assert "valid certificate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("goal", ["true", "false -> p"])
+def test_prove_and_check_round_trip_the_constants(goal, tmp_path, capsys):
+    """`true` and `false` stand for a clash on a reserved atom that prints
+    as `$const`, a text that does not parse; the reader takes it for the
+    subformula of the root's `true` or `false` that prints so."""
+    cert = tmp_path / "proof.json"
+    assert main(["prove", goal, "--emit-proof", str(cert)]) == 0
+    assert '"$const"' in cert.read_text()
+    assert main(["check", str(cert)]) == 0
+    assert capsys.readouterr().out == "provable\nvalid certificate\n"
+
+
+def test_check_refuses_the_reserved_atom_under_a_root_without_constants(tmp_path, capsys):
+    """Under a root with no `true` or `false`, `$const` is parsed as any
+    other text, and its refusal names its path."""
+    cert = tmp_path / "proof.json"
+    assert main(["prove", "false -> p", "--emit-proof", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    assert blob["steps"][2][3]["forms"][0][1] == "$const"
+    blob["root"]["forms"] = [[0, "p | q"]]
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["check", str(cert)]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed certificate: steps[2].delta.forms[0][1]: "
+        "unexpected character '$' at position 0\n"
+    )
 
 
 def _balanced_disjunction(k: int) -> str:
@@ -327,7 +358,9 @@ def test_check_refuses_values_the_writer_never_writes(edit, field, tmp_path, cap
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
     """The certificates ``prove --choices 1 --emit-proof`` writes for two
-    provable goals, and a file to write mutants to."""
+    provable goals, the written two-agent G3 fixture, whose two agentive
+    boxes each drop their principal formula, and a file to write mutants
+    to."""
     folder = tmp_path_factory.mktemp("certificates")
     blobs = []
     for text in ("p | ~p", "dia [1] p -> p"):
@@ -335,6 +368,9 @@ def emitted(tmp_path_factory):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["prove", text, "--choices", "1", "--emit-proof", str(cert)]) == 0
         blobs.append(json.loads(cert.read_text()))
+    g3 = derivation_to_json(*ioa_two_agent_fixture())
+    assert sum("drop" in step[3] for step in g3["steps"][1:]) == 2
+    blobs.append(g3)
     return blobs, folder / "mutant.json"
 
 
@@ -356,7 +392,29 @@ def test_check_exits_0_only_on_a_certificate_that_reads_back_as_written(emitted,
     the reader fills in: a `true` or `0.0` read as an int would show, and
     so would a delta the writer would not write."""
     blobs, path = emitted
-    mutant = data.draw(mutants(blobs))
+    _check_reads_back(data.draw(mutants(blobs)), path)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_exits_0_only_on_a_drop_that_reads_back_as_written(emitted, data):
+    """Likewise, one edit inside the delta of a G3 step that drops a
+    formula.  Of the 274 places for an edit in the G3 certificate, two are
+    its ``drop`` lists, and only adding an entry there tells a reader that
+    takes any drop from this one, too seldom for the test above."""
+    blobs, path = emitted
+    g3 = blobs[-1]
+    i = data.draw(st.sampled_from(
+        [i for i, step in enumerate(g3["steps"]) if i and "drop" in step[3]]
+    ))
+    mutant = copy.deepcopy(g3)
+    mutant["steps"][i][3] = data.draw(mutants([g3["steps"][i][3]]))
+    _check_reads_back(mutant, path)
+
+
+def _check_reads_back(mutant: dict, path) -> None:
+    """`check` on ``mutant`` exits 0, 1 or 2, and 0 only if it writes back
+    as the same JSON text but for the reader's defaults."""
     path.write_text(json.dumps(mutant))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["check", str(path)])

@@ -180,7 +180,8 @@ def test_bench_pairs_interleaves_a_checkout_with_itself(tmp_path):
     figures = axioms["figures"]
     for layer in ("formula.parse.busy_s", "prover.prove.busy_s",
                   "calculus.derivation_from_json.busy_s",
-                  "semantics.decide_by_enumeration.busy_s", "verdict_ms_p50"):
+                  "semantics.decide_by_enumeration.busy_s", "verdict_ms_p50",
+                  "verified_ms_p50"):
         entry = figures[layer]
         assert entry["better"] == "lower"
         assert entry["change_wins_share"] in (0.0, 0.5, 1.0)
