@@ -534,7 +534,7 @@ _PRECEDENCE = {
     Atom: _PREC_ATOM, NegAtom: _PREC_ATOM, And: _PREC_AND, Or: _PREC_OR,
     Box: _PREC_UNARY, Dia: _PREC_UNARY, AgBox: _PREC_UNARY, AgDia: _PREC_UNARY,
 }
-_PREFIX = {Box: "box ", Dia: "dia ", AgBox: "[{}] ", AgDia: "<{}> "}
+_PREFIX = {Box: "box ", Dia: "dia ", AgBox: "[{}] ", AgDia: "<{}> "}  # {}: the agent
 
 
 def pretty(f: Formula) -> str:
