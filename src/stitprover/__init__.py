@@ -17,8 +17,6 @@ from .calculus import (
     RuleTag,
     check_derivation,
     check_inference,
-    derivation_from_json,
-    derivation_to_json,
     side_condition_holds,
 )
 from .formula import (
@@ -58,14 +56,18 @@ from .semantics import (
     decide_by_enumeration,
     evaluate,
     extract_countermodel,
-    model_from_json,
-    model_to_json,
 )
 from .sequent import (
     LabelledFormula,
     LabelledSequent,
     RelAtom,
     graph_of,
+)
+from .wire import (
+    derivation_from_json,
+    derivation_to_json,
+    model_from_json,
+    model_to_json,
     sequent_from_json,
     sequent_to_json,
 )

@@ -40,14 +40,8 @@ ioa    targets, fresh
 apc    agent, roots
 ====== ==========================================
 
-A certificate (format version 2) is flat: the root's conclusion, then one
-step per node in pre-order, ``[rule, principal, premise count, delta]``.
-Every node but the root states its conclusion as a delta from its
-parent's: the relational atoms and labelled formulas it adds, and under
-``drop`` those it lacks, which only the G3 agentive box needs.  The
-reader rebuilds exactly the tree that was written and judges nothing;
-``check_derivation`` does.  Writer, reader and checker are loops, so a
-derivation of any depth is written, read and checked.
+The checker is a loop, so a derivation of any depth is checked; its JSON
+form, the certificate, is `stitprover.wire`'s.
 """
 
 from __future__ import annotations
@@ -59,30 +53,8 @@ from itertools import combinations
 from typing import Any, Mapping, NoReturn, Sequence
 
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
-from .formula import ParseError
-from .formula import agents_of, pretty, printed
-from .sequent import (
-    _SEQUENT_KEYS,
-    Label,
-    LabelledFormula,
-    LabelledSequent,
-    RelAtom,
-    _blank,
-    _delta_to_json,
-    _exact,
-    _fill,
-    _forms_from_json,
-    _formula_of,
-    _keys,
-    _less,
-    _new,
-    _rel_from_json,
-    _sequent_from_json,
-    _sequent_to_json,
-    _text_of,
-    components,
-)
-
+from .formula import agents_of, pretty
+from .sequent import Label, LabelledFormula, LabelledSequent, RelAtom, components
 
 class Mode(Enum):
     G3 = "g3"
@@ -431,187 +403,3 @@ def _witness(principal: Mapping[str, Any], concl: LabelledSequent) -> Label:
     if u not in concl.labels():
         _fail(f"witness w{u} does not occur in the conclusion")
     return u
-
-
-# ---------------------------------------------------------------------------
-# Certificate serialization
-# ---------------------------------------------------------------------------
-
-# The keys of a certificate and of a step's delta, and of a node's principal
-# data (every key of the table in the module docstring) with the JSON type
-# of each value.
-_CERTIFICATE_KEYS = ("m", "n", "mode", "version", "root", "steps")
-_VERSION = 2
-_DELTA_KEYS = frozenset({"rel", "forms", "drop"})
-_PRINCIPAL_KINDS = {
-    "label": int, "atom": str, "formula": str, "fresh": int, "witness": int,
-    "agent": int, "apex": int, "source": int, "target": int,
-    "targets": list, "roots": list,
-}
-
-
-def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
-    """The certificate of ``root``: its root sequent, then one step per
-    node in pre-order, ``[rule, principal, premise count, delta]``, where
-    the delta is the node's conclusion against its parent's and the root's
-    step has none.  Each distinct formula is printed once: the root's
-    subformulas by one fold, any other formula when it is first met."""
-    shown = printed(*(f for _, f in root.conclusion.forms))
-    steps = []
-    todo: list[tuple[Derivation, Derivation | None]] = [(root, None)]
-    while todo:
-        node, parent = todo.pop()
-        step = [node.rule.value, _principal_to_json(node.principal, shown),
-                len(node.premises)]
-        if parent is not None:
-            step.append(_delta_to_json(parent.conclusion, node.conclusion, shown))
-        steps.append(step)
-        for premise in reversed(node.premises):
-            todo.append((premise, node))
-    return {
-        "m": cfg.agents,
-        "n": cfg.choices,
-        "mode": cfg.mode.value,
-        "version": _VERSION,
-        "root": _sequent_to_json(root.conclusion, shown),
-        "steps": steps,
-    }
-
-
-def _principal_to_json(given: Mapping[str, Any], shown: dict[Formula, str]) -> dict:
-    principal = {}
-    for key, value in given.items():
-        if key == "formula":
-            principal[key] = _text_of(value, shown)
-        elif _PRINCIPAL_KINDS.get(key) is list:
-            principal[key] = list(value)
-        else:
-            principal[key] = value
-    return principal
-
-
-def derivation_from_json(obj: dict) -> tuple[CalculusConfig, Derivation]:
-    """Read a certificate, building exactly the tree that was written: each
-    step's premises are the steps that follow it, in pre-order, and each
-    conclusion is its parent's with the step's delta applied.  Labels,
-    agents, ``m``, ``n`` and premise counts must be ints, and atoms and
-    formulas strings, exactly: nothing is coerced.  A key the writer does
-    not write, a missing one, a delta it would not write and a premise
-    count that leaves steps over or short are refused, and a refusal names
-    the value by its JSON path, as ``steps[3].delta.forms[0][1]``.  The
-    printed text of each subformula of the root reads as that subformula,
-    and any other text is parsed once per call, so a prover's certificate
-    parses only its root and each text reads as one formula object."""
-    _keys(_exact(obj, dict, "certificate"), _CERTIFICATE_KEYS,
-          frozenset(_CERTIFICATE_KEYS), "certificate")
-    version = _exact(obj["version"], int, "version")
-    if version != _VERSION:
-        raise ValueError(f"version should be {_VERSION}, not {version}")
-    cfg = CalculusConfig(
-        agents=_exact(obj["m"], int, "m"),
-        choices=_exact(obj["n"], int, "n"),
-        mode=_enum(Mode, obj["mode"], "mode"),
-    )
-    agents, parsed = cfg.agents, {}
-    steps = _exact(obj["steps"], list, "steps")
-    if not steps:
-        raise ValueError("steps should hold the root's step")
-    conclusion = _sequent_from_json(obj["root"], agents, parsed, "root")
-    parsed.update((text, f) for f, text in printed(*(f for _, f in conclusion.forms)).items())
-    # The nodes whose premises are still being read, innermost last: premise
-    # count, premises read, conclusion, rule, principal, step index.
-    open_: list[tuple[int, list, LabelledSequent, RuleTag, dict, int]] = []
-    for i, step in enumerate(steps):
-        where = f"steps[{i}]"
-        size = 4 if i else 3
-        if type(step) is not list or len(step) != size:
-            _exact(step, list, where)
-            raise ValueError(f"{where} should hold {size} values, not {len(step)}")
-        if i and not open_:
-            raise ValueError(f"{where} is left over: the steps before it make a whole tree")
-        rule = _enum(RuleTag, step[0], where, ".rule")
-        given = step[1]
-        if type(given) is not dict or not given.keys() <= _PRINCIPAL_KINDS.keys():
-            _keys(_exact(given, dict, where, ".principal"), (),
-                  _PRINCIPAL_KINDS.keys(), where, ".principal")
-        principal: dict[str, Any] = {}
-        for key, value in given.items():
-            kind = _PRINCIPAL_KINDS[key]
-            if type(value) is not kind:
-                _exact(value, kind, where, ".principal.", key)
-            if key == "formula":
-                try:
-                    value = _formula_of(value, agents, parsed)
-                except ParseError as err:
-                    raise ValueError(f"{where}.principal.{key}: {err}") from None
-            elif kind is list:
-                for at, item in enumerate(value):
-                    if type(item) is not int:
-                        _exact(item, int, f"{where}.principal.{key}[{at}]")
-                value = tuple(value)
-            principal[key] = value
-        count = step[2]
-        if type(count) is not int or count < 0:
-            _exact(count, int, where, ".premise_count")
-            raise ValueError(f"{where}.premise_count is {count}, below 0")
-        if i:  # the delta: the parent's entries less those dropped, then those added
-            delta, parent, sides = step[3], open_[-1][2], []
-            if type(delta) is not dict or not delta.keys() <= _DELTA_KEYS:
-                _keys(_exact(delta, dict, where, ".delta"), (), _DELTA_KEYS, where, ".delta")
-            drop = delta.get("drop", {})
-            if "drop" in delta and not _keys(
-                _exact(drop, dict, where, ".delta.drop"), (), _SEQUENT_KEYS, where, ".delta.drop"
-            ):
-                raise ValueError(f"{where}.delta.drop should not be empty")
-            for field, entries, held, read in (
-                ("rel", parent.rel, parent._rel_set, _rel_from_json),
-                ("forms", parent.forms, parent._forms_set, _forms_from_json),
-            ):
-                kept = held
-                for part, at in ((drop, ".delta.drop."), (delta, ".delta.")):
-                    if field not in part:
-                        continue
-                    items = read(part[field], agents, parsed, where, at, field)
-                    if not items:
-                        raise ValueError(f"{where}{at}{field} should not be empty")
-                    if part is drop:
-                        entries = _less(entries, items, held, where, at, field)
-                        kept = held.difference(items)
-                        continue
-                    joined = kept.union(items)
-                    if kept is not held or len(joined) != len(held) + len(items):
-                        _new(items, held, where, at, field)
-                    entries, kept = entries + tuple(items), joined
-                sides += (entries, kept)
-            rel, rel_set, forms, forms_set = sides
-            conclusion = _fill(_blank(LabelledSequent), rel, forms, rel_set, forms_set)
-        if count:
-            open_.append((count, [], conclusion, rule, principal, i))
-            continue
-        node = Derivation(conclusion, rule, principal)
-        while open_:  # close each node whose last premise this completes
-            top = open_[-1]
-            top[1].append(node)
-            if len(top[1]) < top[0]:
-                break
-            open_.pop()
-            node = Derivation(top[2], top[3], top[4], tuple(top[1]))
-    if open_:
-        count, premises, *_, i = open_[-1]
-        raise ValueError(
-            f"steps[{i}] has {count} premise(s), but the steps end after "
-            f"{len(premises)} of them"
-        )
-    return cfg, node
-
-
-def _enum(kind: type[Enum], value: Any, *field: str) -> Any:
-    """The member of ``kind`` whose value is the string ``value``;
-    otherwise a ``ValueError`` naming the field by its parts, joined."""
-    member = _MEMBERS[kind].get(value) if type(value) is str else None
-    if member is None:
-        raise ValueError(f"{''.join(field)} names no {kind.__name__}: {value!r}")
-    return member
-
-
-_MEMBERS = {kind: {m.value: m for m in kind} for kind in (Mode, RuleTag)}

@@ -32,13 +32,7 @@ import random
 import sys
 from typing import Sequence
 
-from .calculus import (
-    CalculusConfig,
-    Mode,
-    check_derivation,
-    derivation_from_json,
-    derivation_to_json,
-)
+from .calculus import CalculusConfig, Mode, check_derivation
 from .differential import runs
 from .formula import ParseError, parse, pretty
 from .generate import random_formula
@@ -54,8 +48,8 @@ from .semantics import (
     ValidUpToBound,
     decide_by_enumeration,
     extract_countermodel,
-    model_to_json,
 )
+from .wire import derivation_from_json, derivation_to_json, model_to_json
 
 _FUZZ_ALPHABET = "pqrstuvwxyz"
 

@@ -304,7 +304,7 @@ def _distinct(formulas: tuple[Formula, ...]) -> list[Formula]:
     return nodes
 
 
-def _fold(
+def fold(
     f: Formula,
     leaf: Callable[[Formula], _T],
     connective: Callable[[Formula, list[_T]], _T],
@@ -348,7 +348,7 @@ def agents_of(f: Formula) -> frozenset[int]:
 
 
 def depth(f: Formula) -> int:
-    return _fold(f, lambda g: 0, lambda g, depths: 1 + max(depths))
+    return fold(f, lambda g: 0, lambda g, depths: 1 + max(depths))
 
 
 def connective_count(f: Formula) -> int:

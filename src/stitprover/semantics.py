@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -43,11 +42,11 @@ from .formula import (
     Formula,
     NegAtom,
     Or,
-    _fold,
     atoms,
+    fold,
     subformulae,
 )
-from .sequent import LabelledSequent, _exact, components
+from .sequent import LabelledSequent, components
 
 # ---------------------------------------------------------------------------
 # Models
@@ -174,7 +173,7 @@ def evaluate(model: Model, world: int, f: Formula) -> bool:
             return frozenset(w for w in worlds if cells[g.agent][w] <= truth[0])
         return frozenset(w for w in worlds if cells[g.agent][w] & truth[0])
 
-    return world in _fold(f, literal, connective)
+    return world in fold(f, literal, connective)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def _compile(f: Formula) -> tuple[list[tuple[int, int, int]], list[str]]:
             op = (kind, getattr(g, "agent", 0), operands[0])
         return position.setdefault(op, len(position))
 
-    _fold(f, literal, connective)
+    fold(f, literal, connective)
     return list(position), list(names)
 
 
@@ -565,71 +564,3 @@ def _bits(mask: int) -> list[int]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return bits
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def model_to_json(model: Model) -> dict:
-    return {
-        "worlds": list(model.worlds),
-        "rel": {
-            str(agent): sorted([u, v] for u, v in pairs)
-            for agent, pairs in sorted(model.rel.items())
-        },
-        "val": {
-            name: sorted(trueset) for name, trueset in sorted(model.val.items())
-        },
-    }
-
-
-def model_from_json(obj: dict) -> Model:
-    """The model ``model_to_json`` wrote, read strictly: the keys are exactly
-    ``worlds``, ``rel`` and ``val``; worlds are ``int``s (not ``bool``s),
-    atom names ``str``s, and agent keys decimal strings; and no array
-    repeats a world or a pair.  A refusal is a ``ValueError`` that names
-    the field."""
-    _exact(obj, dict, "model")
-    if obj.keys() != {"worlds", "rel", "val"}:
-        shown = ", ".join(sorted(map(repr, obj)))
-        raise ValueError(f"model keys should be 'rel', 'val', 'worlds', not {shown}")
-    rel = {}
-    for key, pairs in _exact(obj["rel"], dict, "rel").items():
-        if type(key) is not str or not _AGENT_KEY.fullmatch(key):
-            raise ValueError(f"rel key should be an agent as a decimal string, not {key!r}")
-        field = f"rel of agent {key}"
-        rel[int(key)] = frozenset(_once(
-            [_pair(pair, f"pair of agent {key}") for pair in _exact(pairs, list, field)],
-            field,
-        ))
-    val = {}
-    for name, trueset in _exact(obj["val"], dict, "val").items():
-        _exact(name, str, "atom name")
-        field = f"val of {name}"
-        val[name] = frozenset(_once(_worlds(trueset, field), field))
-    return Model(worlds=_once(_worlds(obj["worlds"], "worlds"), "worlds"), rel=rel, val=val)
-
-
-# The agent keys `model_to_json` writes: `str` of an `int`.
-_AGENT_KEY = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _worlds(value: object, field: str) -> tuple[int, ...]:
-    return tuple(_exact(w, int, f"world in {field}") for w in _exact(value, list, field))
-
-
-def _once(items: Sequence, field: str) -> Sequence:
-    """``items``, which must not repeat an item: the writer writes sets."""
-    if len(set(items)) != len(items):
-        repeated = next(x for i, x in enumerate(items) if x in items[:i])
-        raise ValueError(f"{field} repeats {list(repeated) if type(repeated) is tuple else repeated}")
-    return items
-
-
-def _pair(value: object, field: str) -> tuple[int, int]:
-    worlds = _worlds(value, field)
-    if len(worlds) != 2:
-        raise ValueError(f"{field} should hold two worlds, not {len(worlds)}")
-    return worlds

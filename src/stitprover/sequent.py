@@ -13,9 +13,9 @@ the whole graph or along one agent's atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .formula import Formula, ParseError, parse, pretty
+from .formula import Formula, pretty
 
 Label = int
 
@@ -116,16 +116,33 @@ class LabelledSequent:
 
     # -- functional updates ------------------------------------------------
 
+    def changed(self, rel: Sequence[RelAtom] = (), forms: Sequence[LabelledFormula] = (),
+                lost_rel: Sequence[RelAtom] = (), lost_forms: Sequence[LabelledFormula] = ()
+                ) -> "LabelledSequent":
+        """This sequent less the entries of ``lost_rel`` and ``lost_forms``,
+        then with those of ``rel`` and ``forms`` it lacks, each once, in
+        their order.  Its sets are this sequent's joined with the additions,
+        so a change costs a copy of each set and its own size."""
+        base = self
+        if lost_rel or lost_forms:
+            gone_rel, gone_forms = set(lost_rel), set(lost_forms)
+            base = LabelledSequent.from_distinct([x for x in self.rel if x not in gone_rel],
+                                                 [x for x in self.forms if x not in gone_forms])
+        rel_set, forms_set = base._rel_set.union(rel), base._forms_set.union(forms)
+        rel, forms = base.rel + tuple(rel), base.forms + tuple(forms)
+        if len(rel_set) != len(rel) or len(forms_set) != len(forms):  # one held or repeated
+            return LabelledSequent(rel, forms)
+        return _fill(_blank(LabelledSequent), rel, forms, rel_set, forms_set)
+
     def extended(
         self,
         rel: Iterable[RelAtom] = (),
         forms: Iterable[LabelledFormula] = (),
     ) -> "LabelledSequent":
-        return LabelledSequent(self.rel + tuple(rel), self.forms + tuple(forms))
+        return self.changed(tuple(rel), tuple(forms))
 
     def without_form(self, label: Label, formula: Formula) -> "LabelledSequent":
-        drop = LabelledFormula(label, formula)
-        return LabelledSequent(self.rel, (lf for lf in self.forms if lf != drop))
+        return self.changed(lost_forms=(LabelledFormula(label, formula),))
 
 
 # The slots' own setters, past the `__setattr__` that refuses every
@@ -204,205 +221,3 @@ def components(
     """The weakly connected components of the sequent graph, sorted by their
     least label.  With ``agent`` given, only that agent's atoms are edges."""
     return graph_components(s.labels(), s.rel, agent)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def sequent_to_json(s: LabelledSequent) -> dict:
-    return _sequent_to_json(s, {})
-
-
-def _sequent_to_json(s: LabelledSequent, shown: dict[Formula, str]) -> dict:
-    return {
-        "rel": [[agent, src, tgt] for agent, src, tgt in s.rel],
-        "forms": [[label, _text_of(f, shown)] for label, f in s.forms],
-    }
-
-
-def _delta_to_json(
-    parent: LabelledSequent, child: LabelledSequent, shown: dict[Formula, str]
-) -> dict:
-    """``child`` as a delta from ``parent``: the ``rel`` and ``forms``
-    entries it adds, in its order, and under ``drop`` those of ``parent``
-    it lacks, in the parent's order.  Only parts that hold an entry are
-    written.  ``_delta_from_json`` gives back ``child`` whenever its entries
-    are its parent's, less the dropped ones, then the added ones, as a
-    search builds them; otherwise an equal sequent in that order."""
-    rel, forms = child.rel, child.forms
-    n, k = len(parent.rel), len(parent.forms)
-    if rel[:n] == parent.rel and forms[:k] == parent.forms:  # nothing dropped
-        return _parts_to_json(rel[n:], forms[k:], shown)
-    delta = _parts_to_json(
-        [x for x in rel if x not in parent._rel_set],
-        [x for x in forms if x not in parent._forms_set],
-        shown,
-    )
-    lost_rel = [x for x in parent.rel if x not in child._rel_set]
-    lost_forms = [x for x in parent.forms if x not in child._forms_set]
-    if lost_rel or lost_forms:
-        delta["drop"] = _parts_to_json(lost_rel, lost_forms, shown)
-    return delta
-
-
-def _parts_to_json(rel: Sequence, forms: Sequence, shown: dict[Formula, str]) -> dict:
-    """``rel`` and ``forms`` as a sequent's parts, each only if it holds an entry."""
-    parts: dict = {}
-    if rel:
-        parts["rel"] = [[agent, src, tgt] for agent, src, tgt in rel]
-    if forms:
-        parts["forms"] = [[label, _text_of(f, shown)] for label, f in forms]
-    return parts
-
-
-def _text_of(f: Formula, shown: dict[Formula, str]) -> str:
-    """The text of ``f``, printed once per ``shown``: a certificate's writer
-    passes one memo to all of its nodes and drops it when it returns."""
-    text = shown.get(f)
-    if text is None:
-        text = shown[f] = pretty(f)
-    return text
-
-
-def sequent_from_json(obj: dict, agents: int = 1) -> LabelledSequent:
-    return _sequent_from_json(obj, agents, {}, "sequent")
-
-
-_SEQUENT_KEYS = frozenset({"rel", "forms"})
-_REL_KINDS = [int, int, int]  # agent, source, target
-_FORM_KINDS = [int, str]  # label, formula text
-
-
-def _sequent_from_json(
-    obj: dict, agents: int, parsed: dict[str, Formula], *where: str
-) -> LabelledSequent:
-    """The sequent ``obj``, which a refusal names by the parts of
-    ``where``, joined only then, as ``root``.  A sequent is two sets, so an
-    entry may not repeat an earlier one."""
-    _keys(_exact(obj, dict, *where), (), _SEQUENT_KEYS, *where)
-    rel = _rel_from_json(obj.get("rel", []), agents, parsed, *where, ".rel")
-    forms = _forms_from_json(obj.get("forms", []), agents, parsed, *where, ".forms")
-    return LabelledSequent.from_distinct(
-        _new(rel, frozenset(), *where, ".rel"), _new(forms, frozenset(), *where, ".forms")
-    )
-
-
-def _rel_from_json(items: Any, agents: int, _: Any, *field: str) -> list[RelAtom]:
-    """The array ``items`` of relational atoms ``[agent, source, target]``
-    of agents ``1..agents``, as `_forms_from_json` reads formulas; a
-    refusal names the first agent out of range if `_refuse` finds nothing."""
-    if type(items) is not list:
-        _exact(items, list, *field)
-    atoms = []
-    for entry in items:
-        if type(entry) is list and len(entry) == 3:
-            agent, source, target = entry
-            if type(agent) is int and type(source) is int and type(target) is int:
-                if 1 <= agent <= agents:
-                    atoms.append(RelAtom(agent, source, target))
-                    continue
-        _refuse(items, _REL_KINDS, *field)
-        raise ValueError(f"{''.join(field)}[{len(atoms)}][0] is agent {entry[0]}, "
-                         f"out of range 1..{agents}")
-    return atoms
-
-
-def _forms_from_json(
-    items: Any, agents: int, parsed: dict[str, Formula], *field: str
-) -> list[LabelledFormula]:
-    """The array ``items`` of labelled formulas ``[label, text]``, each entry
-    checked as it is read and each text read through the memo ``parsed``.
-    A refusal names the array by the parts of ``field`` and the entry as
-    `_refuse` finds it, or else the first text that does not parse."""
-    if type(items) is not list:
-        _exact(items, list, *field)
-    forms = []
-    for entry in items:
-        if type(entry) is list and len(entry) == 2:
-            label, text = entry
-            if type(label) is int and type(text) is str:
-                try:
-                    forms.append(LabelledFormula(label, _formula_of(text, agents, parsed)))
-                except ParseError as err:
-                    _refuse(items, _FORM_KINDS, *field)
-                    raise ValueError(f"{''.join(field)}[{len(forms)}][1]: {err}") from None
-                continue
-        _refuse(items, _FORM_KINDS, *field)
-    return forms
-
-
-def _new(items: list, held: frozenset, *field: str) -> tuple:
-    """``items``, when none is in ``held`` or repeats an earlier one."""
-    if len(set(items)) != len(items) or not held.isdisjoint(items):
-        at = next(i for i, x in enumerate(items) if x in held or x in items[:i])
-        why = "adds an entry its parent holds" if items[at] in held else "repeats an earlier entry"
-        raise ValueError(f"{''.join(field)}[{at}] {why}")
-    return tuple(items)
-
-
-def _less(entries: tuple, items: list, held: frozenset, *field: str) -> tuple:
-    """``entries`` less ``items``, which must be some of them, in their
-    order; ``held`` is their set."""
-    gone = set(items)
-    if [x for x in entries if x in gone] != items:
-        at = next((i for i, x in enumerate(items) if x not in held or x in items[:i]), None)
-        if at is None:
-            raise ValueError(f"{''.join(field)} is not in its parent's order")
-        why = "drops an entry its parent lacks" if items[at] not in held else "repeats an earlier entry"
-        raise ValueError(f"{''.join(field)}[{at}] {why}")
-    return tuple(x for x in entries if x not in gone)
-
-
-def _refuse(entries: list, kinds: list[type], *field: str) -> None:
-    """Raise the ``ValueError`` that names the first entry of ``entries``
-    not of the shape, or else the first value not of the type, ``kinds``
-    gives, if there is one."""
-    where = "".join(field)
-    for i, entry in enumerate(entries):
-        _exact(entry, list, f"{where}[{i}]")
-        if len(entry) != len(kinds):
-            raise ValueError(f"{where}[{i}] should hold {len(kinds)} values, not {len(entry)}")
-    for i, entry in enumerate(entries):
-        for j, kind in enumerate(kinds):
-            _exact(entry[j], kind, f"{where}[{i}][{j}]")
-
-
-def _formula_of(text: str, agents: int, parsed: dict[str, Formula]) -> Formula:
-    """The formula ``text`` reads as, parsed once per ``parsed``: a
-    certificate's reader passes one memo to all of its nodes and drops it
-    when it returns, so every text it holds equal reads as one object."""
-    f = parsed.get(text)
-    if f is None:
-        f = parsed[text] = parse(text, agents)
-    return f
-
-
-def _keys(obj: dict, required: tuple[str, ...], known: frozenset, *field: str) -> dict:
-    """``obj`` when it holds every key of ``required`` and no key outside
-    ``known``, the keys a writer writes; otherwise a ``ValueError`` naming
-    the object by the parts of ``field``, joined, and the key.  The
-    certificate reader uses it too."""
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"{''.join(field)} lacks the key {key!r}")
-    if not obj.keys() <= known:
-        key = next(key for key in obj if key not in known)
-        raise ValueError(f"{''.join(field)} has an unknown key {key!r}")
-    return obj
-
-
-_JSON_KINDS = {dict: "an object", list: "an array", int: "an int", str: "a string"}
-
-
-def _exact(value: Any, kind: type, *field: str) -> Any:
-    """``value`` when its type is exactly ``kind``, so ``True`` is not an
-    int and ``0.0`` is not a label; otherwise a ``ValueError`` naming the
-    value by the parts of ``field``, joined only then.  The certificate and
-    model readers use it too."""
-    if type(value) is not kind:
-        raise ValueError(
-            f"{''.join(field)} should be {_JSON_KINDS[kind]}, not {type(value).__name__}"
-        )
-    return value

@@ -35,9 +35,8 @@ from stitprover import (
     parse,
     pretty,
     prove,
-    sequent,
+    wire,
 )
-from stitprover import calculus
 from stitprover.formula import atoms
 
 P, Q = Atom("p"), Atom("q")
@@ -805,7 +804,7 @@ def test_a_certificate_reader_parses_each_distinct_text_once_per_call(monkeypatc
             texts[pretty(node.principal["formula"])] += 1
     assert sum(texts.values()) > 5 * len(texts)  # texts repeat across nodes
     root_texts = [text for _, text in blob["root"]["forms"]]
-    calls = _counting(monkeypatch, sequent, "parse")
+    calls = _counting(monkeypatch, wire, "parse")
     cfg2, root2 = derivation_from_json(blob)
     assert calls == Counter(dict.fromkeys(root_texts, 1))
     assert (cfg2, root2) == (cfg, root) and check_derivation(cfg2, root2).ok
@@ -827,11 +826,11 @@ def test_a_certificate_writer_prints_each_distinct_formula_once_per_call(monkeyp
     cfg, root = _bc3_certificate()
     blob = derivation_to_json(cfg, root)
     folds = []
-    real_printed = calculus.printed
+    real_printed = wire.printed
     monkeypatch.setattr(
-        calculus, "printed", lambda *formulas: folds.append(formulas) or real_printed(*formulas)
+        wire, "printed", lambda *formulas: folds.append(formulas) or real_printed(*formulas)
     )
-    calls = _counting(monkeypatch, sequent, "pretty")
+    calls = _counting(monkeypatch, wire, "pretty")
     assert derivation_to_json(cfg, root) == blob
     assert folds == [tuple(f for _, f in root.conclusion.forms)] and calls == Counter()
 

@@ -227,6 +227,12 @@ def _delta(**part):
     return edit
 
 
+def _header(**values):
+    def edit(blob):
+        blob.update(values)
+    return edit
+
+
 def _step(i, value):
     def edit(blob):
         blob["steps"][i] = value
@@ -324,6 +330,8 @@ def _unknown_rule(blob):
         (_premise_count(1, 1), "steps[1] has 1 premise(s), but the steps end after 0 of them"),
         (_premise_count(1, -1), "steps[1].premise_count is -1, below 0"),
         (_premise_count(1, True), "steps[1].premise_count should be an int, not bool"),
+        (_header(m=0), "m is 0, below 1"),
+        (_header(n=-1), "n is -1, below 0"),
         (_delta(forms=[[0, "p"], [0, "p &"]]), "steps[1].delta.forms[1][1]: unexpected end of input"),
         (_delta(rel=[]), "steps[1].delta.rel should not be empty"),
         (_delta(rel=[[2, 0, 1]]), "steps[1].delta.rel[0][0] is agent 2, out of range 1..1"),
@@ -399,16 +407,26 @@ def test_check_exits_0_only_on_a_certificate_that_reads_back_as_written(emitted,
 @given(data=st.data())
 def test_check_exits_0_only_on_a_drop_that_reads_back_as_written(emitted, data):
     """Likewise, one edit inside the delta of a G3 step that drops a
-    formula.  Of the 274 places for an edit in the G3 certificate, two are
-    its ``drop`` lists, and only adding an entry there tells a reader that
-    takes any drop from this one, too seldom for the test above."""
+    formula, or one entry that the step adds put into its drop too.  Of the
+    274 places for an edit in the G3 certificate, two are its ``drop``
+    lists, too seldom for the test above.  A reader that takes any drop
+    tells itself apart only on a drop that keeps the dropped formula and
+    adds an entry: one the parent lacks, which a random edit seldom makes,
+    so the second kind of edit makes one each time."""
     blobs, path = emitted
     g3 = blobs[-1]
     i = data.draw(st.sampled_from(
         [i for i, step in enumerate(g3["steps"]) if i and "drop" in step[3]]
     ))
     mutant = copy.deepcopy(g3)
-    mutant["steps"][i][3] = data.draw(mutants([g3["steps"][i][3]]))
+    delta = mutant["steps"][i][3]
+    if data.draw(st.booleans()):
+        mutant["steps"][i][3] = data.draw(mutants([delta]))
+    else:
+        part = data.draw(st.sampled_from([part for part in ("rel", "forms") if part in delta]))
+        dropped = delta["drop"].setdefault(part, [])
+        entry = copy.deepcopy(data.draw(st.sampled_from(delta[part])))
+        dropped.insert(data.draw(st.integers(0, len(dropped))), entry)
     _check_reads_back(mutant, path)
 
 

@@ -544,24 +544,38 @@ def model_json(**changes):
 @pytest.mark.parametrize(
     "obj, field",
     [
-        (model_json(worlds=["0"]), "world in worlds should be an int, not str"),
-        (model_json(worlds=[True]), "world in worlds should be an int, not bool"),
-        (model_json(worlds=[1.9]), "world in worlds should be an int, not float"),
+        pytest.param(model_json(worlds=["0"]), r"worlds\[0\] should be an int, not str",
+                     id="obj0-world in worlds should be an int, not str"),
+        pytest.param(model_json(worlds=[True]), r"worlds\[0\] should be an int, not bool",
+                     id="obj1-world in worlds should be an int, not bool"),
+        pytest.param(model_json(worlds=[1.9]), r"worlds\[0\] should be an int, not float",
+                     id="obj2-world in worlds should be an int, not float"),
         (model_json(worlds={"0": 0}), "worlds should be an array, not dict"),
-        (model_json(val={1: [1]}), "atom name should be a string, not int"),
-        (model_json(val={"p": [True]}), "world in val of p should be an int"),
-        (model_json(val={"p": 1}), "val of p should be an array"),
-        (model_json(rel={"1": [[0, "0"]]}), "world in pair of agent 1 should be an int"),
-        (model_json(rel={"1": [[0, 0, 0]]}), "pair of agent 1 should hold two worlds"),
+        pytest.param(model_json(val={1: [1]}), "val key 1 should be a string, not int",
+                     id="obj4-atom name should be a string, not int"),
+        pytest.param(model_json(val={"p": [True]}), r"val.p\[0\] should be an int, not bool",
+                     id="obj5-world in val of p should be an int"),
+        pytest.param(model_json(val={"p": 1}), "val.p should be an array, not int",
+                     id="obj6-val of p should be an array"),
+        pytest.param(model_json(rel={"1": [[0, "0"]]}), r"rel.1\[0\]\[1\] should be an int, not str",
+                     id="obj7-world in pair of agent 1 should be an int"),
+        pytest.param(model_json(rel={"1": [[0, 0, 0]]}), r"rel.1\[0\] should hold 2 values, not 3",
+                     id="obj8-pair of agent 1 should hold two worlds"),
         (model_json(rel={"01": [[0, 0]]}), "rel key should be an agent"),
         (model_json(rel={" 1": [[0, 0]]}), "rel key should be an agent"),
         (model_json(rel={1: [[0, 0]]}), "rel key should be an agent"),
-        (model_json(extra=1), "model keys should be 'rel', 'val', 'worlds'"),
-        ({"worlds": [0], "rel": {}}, "model keys should be 'rel', 'val', 'worlds'"),
+        pytest.param(model_json(extra=1), "model has an unknown key 'extra'",
+                     id="obj12-model keys should be 'rel', 'val', 'worlds'"),
+        pytest.param({"worlds": [0], "rel": {}}, "model lacks the key 'val'",
+                     id="obj13-model keys should be 'rel', 'val', 'worlds'"),
         ([], "model should be an object"),
-        (model_json(rel={"1": [[0, 0], [1, 1], [0, 0]]}), r"rel of agent 1 repeats \[0, 0\]"),
-        (model_json(val={"p": [1, 1]}), "val of p repeats 1"),
-        (model_json(worlds=[0, 1, 0]), "worlds repeats 0"),
+        pytest.param(model_json(rel={"1": [[0, 0], [1, 1], [0, 0]]}),
+                     r"rel.1\[2\] repeats an earlier entry",
+                     id="obj15-rel of agent 1 repeats \\[0, 0\\]"),
+        pytest.param(model_json(val={"p": [1, 1]}), r"val.p\[1\] repeats an earlier entry",
+                     id="obj16-val of p repeats 1"),
+        pytest.param(model_json(worlds=[0, 1, 0]), r"worlds\[2\] repeats an earlier entry",
+                     id="obj17-worlds repeats 0"),
     ],
 )
 def test_the_model_reader_refuses_what_the_writer_never_writes(obj, field):

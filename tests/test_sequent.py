@@ -105,6 +105,21 @@ def test_slots_can_be_neither_assigned_nor_deleted():
     assert stable == before and stable._stable_at == 0
 
 
+@given(small_sequents(), st.data())
+def test_a_change_keeps_entries_and_sets_in_agreement(s, data):
+    """Whatever ``changed`` is passed, even an addition the sequent holds or
+    repeats and a loss it lacks, its result holds each entry once, and the
+    sets it compares and hashes by are those of its entries."""
+    more = data.draw(small_sequents())
+    less = data.draw(small_sequents())
+    t = s.changed(more.rel + more.rel, more.forms + s.forms, less.rel, less.forms)
+    kept_rel = [x for x in s.rel if x not in less.rel]
+    kept_forms = [x for x in s.forms if x not in less.forms]
+    assert t.rel == tuple(dict.fromkeys(kept_rel + list(more.rel)))
+    assert t.forms == tuple(dict.fromkeys(kept_forms + list(more.forms) + list(s.forms)))
+    assert t == LabelledSequent(t.rel, t.forms) and hash(t) == hash(LabelledSequent(t.rel, t.forms))
+
+
 def test_without_form_removes_one_formula():
     s = seq(forms=[LabelledFormula(W, P), LabelledFormula(U, P)])
     t = s.without_form(W, P)
