@@ -128,7 +128,8 @@ class LabelledSequent:
             gone_rel, gone_forms = set(lost_rel), set(lost_forms)
             base = LabelledSequent.from_distinct([x for x in self.rel if x not in gone_rel],
                                                  [x for x in self.forms if x not in gone_forms])
-        rel_set, forms_set = base._rel_set.union(rel), base._forms_set.union(forms)
+        rel_set = base._rel_set.union(rel) if rel else base._rel_set
+        forms_set = base._forms_set.union(forms) if forms else base._forms_set
         rel, forms = base.rel + tuple(rel), base.forms + tuple(forms)
         if len(rel_set) != len(rel) or len(forms_set) != len(forms):  # one held or repeated
             return LabelledSequent(rel, forms)

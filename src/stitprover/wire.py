@@ -110,7 +110,7 @@ def _delta_from_json(
         _keys(_exact(obj, dict, *where), (), known, *where)
     if known is not _SEQUENT_KEYS and not all(obj.values()):  # a part with no entry
         for key, value in obj.items():
-            if not value and type(value) in (list, dict):
+            if not value and type(value) is (dict if key == "drop" else list):
                 raise ValueError(f"{''.join(where)}.{key} should not be empty")
     rel = forms = lost_rel = lost_forms = ()
     if "drop" in obj:
@@ -208,7 +208,7 @@ def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
                 principal[key] = list(value)
             else:
                 principal[key] = value
-        step = [node.rule.value, principal, len(node.premises)]
+        step = [node.rule._value_, principal, len(node.premises)]  # `value`, less its property
         if parent is not None:
             step.append(_delta_to_json(parent.conclusion, node.conclusion, shown, {}))
         steps.append(step)
