@@ -410,9 +410,9 @@ def test_check_exits_0_only_on_a_drop_that_reads_back_as_written(emitted, data):
     formula, or one entry that the step adds put into its drop too.  Of the
     274 places for an edit in the G3 certificate, two are its ``drop``
     lists, too seldom for the test above.  A reader that takes any drop
-    tells itself apart only on a drop that keeps the dropped formula and
-    adds an entry: one the parent lacks, which a random edit seldom makes,
-    so the second kind of edit makes one each time."""
+    shows only on a drop list that keeps its entry and gains one the
+    parent lacks; a random edit seldom makes one, and the second kind of
+    edit makes one each time."""
     blobs, path = emitted
     g3 = blobs[-1]
     i = data.draw(st.sampled_from(
