@@ -253,7 +253,7 @@ def _check_node(cfg: CalculusConfig, node: Derivation) -> None:
             break
     else:
         return
-    expected = Counter(base.extended(rel, forms) for rel, forms in additions)
+    expected = Counter(base.changed(rel, forms) for rel, forms in additions)
     if Counter(p.conclusion for p in node.premises) != expected:
         _fail(f"premises do not match the additions of rule {node.rule.value}")
 
@@ -306,7 +306,9 @@ def _additions(
         case RuleTag.AGBOX:
             w, f = _principal_formula(principal, concl, AgBox)
             v = _fresh(principal, concl)
-            base = concl if cfg.mode is Mode.REFINED else concl.without_form(w, f)
+            base = concl
+            if cfg.mode is not Mode.REFINED:
+                base = concl.changed(lost_forms=[LabelledFormula(w, f)])
             return base, [([RelAtom(f.agent, w, v)], [LabelledFormula(v, f.body)])]
 
         case RuleTag.AGDIA:

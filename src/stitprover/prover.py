@@ -42,15 +42,19 @@ complement's id (hash-consing: Filliâtre and Conchon, "Type-Safe Modular
 Hash-Consing", 2006).  The state holds one sequent over those ids: per
 label its formulas in insertion order and as a set, per formula the number
 of labels carrying it, the choice forest as parent pointers and component
-ids, and the insertion logs of labelled formulas and relational atoms.  A
-step changes the state in place; every sequent met on the current branch
-is a prefix of the two logs, named by its *mark* (the log lengths and the
-label count), and going back to a mark truncates the logs, as a CDCL
+ids, and the insertion logs of labelled formulas and relational atoms,
+each atom logged with what it changed in the forest (the parent pointer it
+set, the tree it merged away and that tree's members).  A step changes the
+state in place; every sequent met on the current branch is a prefix of the
+two logs, named by its *mark* (the log lengths and the label count).  Going
+back to a mark pops both logs down to it, undoing each entry, as a CDCL
 solver undoes its trail (Eén and Sörensson, "An Extensible SAT-solver",
-SAT 2003).  ``LabelledSequent`` values are built only for the stable leaf
-and for the nodes of a proof, from prefixes of the logs, in the order
-``LabelledSequent.extended`` would give.  ``is_stable`` loads any sequent
-into such a state and asks the same ``_step``.
+SAT 2003), and deletes the labels made since: it costs what it undoes, and
+nothing is rebuilt.  ``LabelledSequent`` values are built only for the
+stable leaf and for the nodes of a proof, from prefixes of the logs, in the
+order ``LabelledSequent.changed`` would give.  ``is_stable`` loads any
+sequent into such a state through the same steps, its labels, then its
+atoms one by one, then its formulas, and asks the same ``_step``.
 
 The search owns one stack, with one frame per open inference: the mark of
 the step's conclusion, its rule and principal, its premises as what each
@@ -92,10 +96,9 @@ Both bounds are met exactly: ``box dia [1] p`` reaches 4 labels, and
 They are *monitored* rather than enforced: a search that outgrew them would
 record the event in its statistics and keep going (see
 ``SearchStats.bound_violations``).  The structural invariants that the
-search relies on are hard assertions: every new relational atom must
-point at the root of another tree, so the graph stays a forest, and every
-premise of a choice-rule case split must have one tree fewer than its
-conclusion.
+search relies on are hard assertions: the graph stays a forest as each
+relational atom is added, and every premise of a choice-rule case split
+has one tree fewer than its conclusion.
 """
 
 from __future__ import annotations
@@ -104,13 +107,7 @@ from dataclasses import dataclass, field
 
 from .calculus import Derivation, RuleTag
 from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
-from .sequent import (
-    Label,
-    LabelledFormula,
-    LabelledSequent,
-    RelAtom,
-    graph_components,
-)
+from .sequent import Label, LabelledFormula, LabelledSequent, RelAtom
 
 
 class InternalInvariantError(AssertionError):
@@ -201,16 +198,17 @@ class _State:
     ascending; each label's formula ids in insertion order (``at``) and as a
     set (``has``); the number of labels carrying each formula id
     (``holders``); the insertion logs of labelled formulas (``log``) and of
-    relational atoms (``rel``); and its graph as parent pointers, as each
-    label's component id (``tree``, the component's least label) with each
-    component's members ascending (``members``), and as whether it is a
-    forest.  A sequent the state held earlier is a prefix of the two logs,
-    named by its ``mark``.
+    relational atoms (``rel``), with what each atom changed in the graph
+    (``undo``); and its graph as parent pointers, as each label's component
+    id (``tree``, the component's least label) with each component's
+    members ascending (``members``), and as whether it is a forest.  A
+    sequent the state held earlier is a prefix of the two logs, named by its
+    ``mark``.
     """
 
     __slots__ = (
-        "_keys", "form", "kind", "left", "right", "comp", "holders",
-        "labels", "at", "has", "log", "rel", "parent", "tree", "members", "forest",
+        "_keys", "form", "kind", "left", "right", "comp", "holders", "labels",
+        "at", "has", "log", "rel", "undo", "parent", "tree", "members", "forest",
     )
 
     def __init__(self) -> None:
@@ -226,6 +224,7 @@ class _State:
         self.has: dict[Label, set[int]] = {}
         self.log: list[LabelledFormula] = []
         self.rel: list[RelAtom] = []
+        self.undo: list[tuple] = []
         self.parent: dict[Label, Label] = {}
         self.tree: dict[Label, Label] = {}
         self.members: dict[Label, list[Label]] = {}
@@ -309,59 +308,65 @@ class _State:
             self.holders[f] += 1
             self.log.append(LabelledFormula(w, self.form[f]))
 
-    def link(self, source: Label, target: Label) -> None:
-        """Add ``R_1 source target``, whose target must be the root of
-        another tree, and merge the two trees."""
+    def link(self, atom: RelAtom) -> None:
+        """Add ``atom`` and merge the trees of its ends.  An atom parallel to
+        an edge held adds no edge; an edge within one tree, or into a label
+        that has a parent, leaves no forest.  ``undo`` logs the forest flag
+        before, the label whose parent it set (or ``None``), the kept tree
+        with its members before, and the tree merged away with its members."""
+        _, source, target = atom
         for w in (source, target):
             if w not in self.at:
                 self.add_label(w)
-        atom = RelAtom(_AGENT, source, target)
+        parent, members = self.parent, self.members
         keep, gone = sorted((self.tree[source], self.tree[target]))
-        if target in self.parent or keep == gone:
-            shown = self.sequent().extended(rel=[atom]).show()
-            raise InternalInvariantError(f"sequent is not forestlike: {shown}")
+        forest, child, kept, moved = self.forest, None, members[keep], []
+        if target not in parent and keep != gone:
+            child = target
+            parent[target] = source
+        elif parent.get(target) != source:
+            self.forest = False
+        if keep != gone:
+            moved = members.pop(gone)
+            for u in moved:
+                self.tree[u] = keep
+            members[keep] = sorted(kept + moved)
         self.rel.append(atom)
-        self.parent[target] = source
-        moved = self.members.pop(gone)
-        for u in moved:
-            self.tree[u] = keep
-        self.members[keep] = sorted(self.members[keep] + moved)
+        self.undo.append((forest, child, keep, kept, gone, moved))
 
     def apply(self, premise: _Premise) -> None:
         edges, forms = premise
         for source, target in edges:
-            self.link(source, target)
+            self.link(RelAtom(_AGENT, source, target))
+            if not self.forest:
+                raise InternalInvariantError(f"sequent is not forestlike: {self.sequent().show()}")
         for w, f in forms:
             self.add(w, f)
 
     def truncate(self, mark: _Mark) -> None:
-        """Go back to the sequent held at ``mark``."""
+        """Go back to the sequent held at ``mark`` by popping the logs down to
+        it, undoing what each atom changed in the graph, then deleting the
+        labels made since, which are one-label trees again by then."""
         forms, rel, labels = mark
         while len(self.log) > forms:
             w = self.log.pop().label
             f = self.at[w].pop()
             self.has[w].discard(f)
             self.holders[f] -= 1
-        if len(self.rel) > rel or len(self.labels) > labels:
-            for w in self.labels[labels:]:
-                del self.at[w], self.has[w]
-            del self.labels[labels:], self.rel[rel:]
-            self.graph()
-
-    def graph(self) -> None:
-        """Rebuild the graph's parent pointers, components and forest flag
-        from ``labels`` and ``rel``."""
-        blocks = graph_components(self.labels, self.rel)
-        # A forest: in-degree at most 1 on the distinct edges (parallel atoms
-        # of different agents are one edge), and one root per component.
-        edges = {(source, target) for _, source, target in self.rel}
-        targets = {target for _, target in edges}
-        self.forest = len(targets) == len(edges) and all(
-            len(block - targets) == 1 for block in blocks
-        )
-        self.parent = {target: source for _, source, target in self.rel}
-        self.tree = {u: min(block) for block in blocks for u in block}
-        self.members = {min(block): sorted(block) for block in blocks}
+        while len(self.rel) > rel:
+            self.rel.pop()
+            self.forest, child, keep, kept, gone, moved = self.undo.pop()
+            if child is not None:
+                del self.parent[child]
+            if moved:
+                self.members[keep] = kept
+                self.members[gone] = moved
+                for u in moved:
+                    self.tree[u] = gone
+        # the labels made since are one-label trees again
+        for w in self.labels[labels:]:
+            del self.at[w], self.has[w], self.tree[w], self.members[w]
+        del self.labels[labels:]
 
     def roots(self) -> list[Label]:
         """The roots of the choice trees, ascending."""
@@ -376,8 +381,8 @@ def _load(s: LabelledSequent) -> _State:
     ids = state.intern([f for _, f in s.forms])
     for w in s.labels():
         state.add_label(w)
-    state.rel = list(s.rel)
-    state.graph()
+    for atom in s.rel:
+        state.link(atom)
     for (w, _), f in zip(s.forms, ids):
         state.add(w, f)
     return state

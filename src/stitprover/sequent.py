@@ -39,10 +39,10 @@ class LabelledSequent:
     returns, where it is the choice bound that search found it stable at;
     ``extract_countermodel`` trusts it for that bound alone.  Only
     ``from_distinct`` sets it, when asked, so a copy or an extension carries
-    no mark.  The hash and the labels are worked out on first use.
+    no mark.  The labels are worked out on first use.
     """
 
-    __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_hash", "_labels", "_stable_at")
+    __slots__ = ("rel", "forms", "_rel_set", "_forms_set", "_labels", "_stable_at")
 
     def __init__(
         self,
@@ -77,11 +77,7 @@ class LabelledSequent:
         return self._rel_set == other._rel_set and self._forms_set == other._forms_set
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self._rel_set, self._forms_set))
-            _set_hash(self, value)
-        return value
+        return hash((self._rel_set, self._forms_set))  # a frozenset keeps its hash
 
     def __repr__(self) -> str:
         return f"LabelledSequent({self.show()!r})"
@@ -135,21 +131,11 @@ class LabelledSequent:
             return LabelledSequent(rel, forms)
         return _fill(_blank(LabelledSequent), rel, forms, rel_set, forms_set)
 
-    def extended(
-        self,
-        rel: Iterable[RelAtom] = (),
-        forms: Iterable[LabelledFormula] = (),
-    ) -> "LabelledSequent":
-        return self.changed(tuple(rel), tuple(forms))
-
-    def without_form(self, label: Label, formula: Formula) -> "LabelledSequent":
-        return self.changed(lost_forms=(LabelledFormula(label, formula),))
-
 
 # The slots' own setters, past the `__setattr__` that refuses every
 # assignment: a sequent's fields are set once, as it is made.
 _blank = object.__new__
-(_set_rel, _set_forms, _set_rel_set, _set_forms_set, _set_hash, _set_labels,
+(_set_rel, _set_forms, _set_rel_set, _set_forms_set, _set_labels,
  _set_stable_at) = (getattr(LabelledSequent, name).__set__ for name in LabelledSequent.__slots__)
 
 
@@ -161,7 +147,6 @@ def _fill(s: LabelledSequent, rel: tuple, forms: tuple, rel_set: frozenset,
     _set_forms(s, forms)
     _set_rel_set(s, rel_set)
     _set_forms_set(s, forms_set)
-    _set_hash(s, None)
     _set_labels(s, None)
     _set_stable_at(s, stable_at)
     return s
@@ -190,14 +175,14 @@ def graph_of(s: LabelledSequent) -> SequentGraph:
     )
 
 
-def graph_components(
-    labels: Iterable[Label], rel: Iterable[RelAtom], agent: int | None = None
+def components(
+    s: LabelledSequent, agent: int | None = None
 ) -> tuple[frozenset[Label], ...]:
-    """``components`` of the graph on ``labels`` (ascending, each label of
-    ``rel`` among them) with the atoms ``rel`` as edges."""
+    """The weakly connected components of the sequent graph, sorted by their
+    least label.  With ``agent`` given, only that agent's atoms are edges."""
     # Edges are read both ways; with ``agent`` given, only its atoms count.
-    adjacency: dict[Label, list[Label]] = {w: [] for w in labels}
-    for a, src, tgt in rel:
+    adjacency: dict[Label, list[Label]] = {w: [] for w in s.labels()}
+    for a, src, tgt in s.rel:
         if agent is None or a == agent:
             adjacency[src].append(tgt)
             adjacency[tgt].append(src)
@@ -214,11 +199,3 @@ def graph_components(
             placed |= block
             blocks.append(frozenset(block))
     return tuple(blocks)
-
-
-def components(
-    s: LabelledSequent, agent: int | None = None
-) -> tuple[frozenset[Label], ...]:
-    """The weakly connected components of the sequent graph, sorted by their
-    least label.  With ``agent`` given, only that agent's atoms are edges."""
-    return graph_components(s.labels(), s.rel, agent)

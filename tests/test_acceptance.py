@@ -412,9 +412,9 @@ def test_criterion_4_counter_models(sweep):
 
 def _drop_one_formula(node: Derivation, path: tuple, rng) -> Derivation:
     if not path:
-        w, f = rng.choice(list(node.conclusion.forms))
+        dropped = rng.choice(list(node.conclusion.forms))
         return Derivation(
-            node.conclusion.without_form(w, f),
+            node.conclusion.changed(lost_forms=[dropped]),
             node.rule,
             node.principal,
             node.premises,
@@ -484,17 +484,17 @@ def _offender_mutants(root: Derivation, rng) -> list[Derivation]:
 
     def drop_formula(node):
         dropped = rng.choice(node.conclusion.forms)
-        return replace(node, conclusion=node.conclusion.without_form(*dropped))
+        return replace(node, conclusion=node.conclusion.changed(lost_forms=[dropped]))
 
     def add_formula(node):
         w = rng.choice(node.conclusion.labels())
         bad = LabelledFormula(w, AgBox(2, Atom("p")))
-        return replace(node, conclusion=node.conclusion.extended(forms=[bad]))
+        return replace(node, conclusion=node.conclusion.changed(forms=[bad]))
 
     def add_atom(node):
         w = rng.choice(node.conclusion.labels())
         bad = RelAtom(2, w, w)
-        return replace(node, conclusion=node.conclusion.extended(rel=[bad]))
+        return replace(node, conclusion=node.conclusion.changed(rel=[bad]))
 
     def retag(node):
         others = [t for t in RuleTag if t is not node.rule]

@@ -101,8 +101,8 @@ def _and_node(premises):
 
 def _and_premises():
     concl = seq(forms=[lf(0, And(P, Q))])
-    left = concl.extended(forms=[lf(0, P)])
-    right = concl.extended(forms=[lf(0, Q)])
+    left = concl.changed(forms=[lf(0, P)])
+    right = concl.changed(forms=[lf(0, Q)])
     return (
         Derivation(left, RuleTag.ID, {"label": 0, "atom": "p"}),
         Derivation(right, RuleTag.ID, {"label": 0, "atom": "q"}),
@@ -126,7 +126,7 @@ def test_and_rejects_a_missing_branch():
 
 def test_or_adds_both_disjuncts_to_one_premise():
     concl = seq(forms=[lf(0, Or(P, NP))])
-    premise = concl.extended(forms=[lf(0, P), lf(0, NP)])
+    premise = concl.changed(forms=[lf(0, P), lf(0, NP)])
     node = Derivation(
         concl, RuleTag.OR, {"label": 0, "formula": Or(P, NP)},
         (leaf(premise, 0, "p"),),
@@ -136,7 +136,7 @@ def test_or_adds_both_disjuncts_to_one_premise():
 
 def test_or_rejects_a_premise_with_only_one_disjunct():
     concl = seq(forms=[lf(0, Or(P, NP))])
-    premise = concl.extended(forms=[lf(0, P)])
+    premise = concl.changed(forms=[lf(0, P)])
     node = Derivation(
         concl, RuleTag.OR, {"label": 0, "formula": Or(P, NP)},
         (leaf(premise, 0, "p"),),
@@ -151,7 +151,7 @@ def test_or_rejects_a_premise_with_only_one_disjunct():
 
 def test_box_realizes_at_a_fresh_label():
     concl = seq(forms=[lf(0, Box(P))])
-    premise = concl.extended(forms=[lf(1, P)])
+    premise = concl.changed(forms=[lf(1, P)])
     node = Derivation(
         concl, RuleTag.BOX, {"label": 0, "formula": Box(P), "fresh": 1},
         (leaf(premise, 1, "p"),),
@@ -161,7 +161,7 @@ def test_box_realizes_at_a_fresh_label():
 
 def test_box_rejects_a_stale_eigenvariable():
     concl = seq(forms=[lf(0, Box(P)), lf(1, Q)])
-    premise = concl.extended(forms=[lf(1, P)])
+    premise = concl.changed(forms=[lf(1, P)])
     node = Derivation(
         concl, RuleTag.BOX, {"label": 0, "formula": Box(P), "fresh": 1},
         (leaf(premise, 1, "p"),),
@@ -172,7 +172,7 @@ def test_box_rejects_a_stale_eigenvariable():
 
 def test_dia_propagates_to_an_existing_label():
     concl = seq(forms=[lf(0, Dia(P)), lf(1, Q)])
-    premise = concl.extended(forms=[lf(1, P)])
+    premise = concl.changed(forms=[lf(1, P)])
     node = Derivation(
         concl, RuleTag.DIA, {"label": 0, "formula": Dia(P), "witness": 1},
         (leaf(premise, 1, "p"),),
@@ -182,7 +182,7 @@ def test_dia_propagates_to_an_existing_label():
 
 def test_dia_rejects_an_unknown_witness():
     concl = seq(forms=[lf(0, Dia(P))])
-    premise = concl.extended(forms=[lf(1, P)])
+    premise = concl.changed(forms=[lf(1, P)])
     node = Derivation(
         concl, RuleTag.DIA, {"label": 0, "formula": Dia(P), "witness": 1},
         (leaf(premise, 1, "p"),),
@@ -208,7 +208,7 @@ def _agbox_node(premise_seq):
 
 def test_agbox_keeps_the_principal_in_refined_mode():
     concl = seq(forms=[lf(0, AgBox(1, P))])
-    kept = concl.extended(rel=[RelAtom(1, 0, 1)], forms=[lf(1, P)])
+    kept = concl.changed(rel=[RelAtom(1, 0, 1)], forms=[lf(1, P)])
     dropped = seq(rel=[RelAtom(1, 0, 1)], forms=[lf(1, P)])
     assert check_inference(REFINED_1, _agbox_node(kept)).ok
     assert not check_inference(REFINED_1, _agbox_node(dropped)).ok
@@ -216,7 +216,7 @@ def test_agbox_keeps_the_principal_in_refined_mode():
 
 def test_agbox_drops_the_principal_in_g3_mode():
     concl = seq(forms=[lf(0, AgBox(1, P))])
-    kept = concl.extended(rel=[RelAtom(1, 0, 1)], forms=[lf(1, P)])
+    kept = concl.changed(rel=[RelAtom(1, 0, 1)], forms=[lf(1, P)])
     dropped = seq(rel=[RelAtom(1, 0, 1)], forms=[lf(1, P)])
     assert check_inference(G3_1, _agbox_node(dropped)).ok
     assert not check_inference(G3_1, _agbox_node(kept)).ok
@@ -224,7 +224,7 @@ def test_agbox_drops_the_principal_in_g3_mode():
 
 def test_agdia_needs_the_relational_atom():
     with_edge = seq(rel=[RelAtom(1, 0, 1)], forms=[lf(0, AgDia(1, P))])
-    premise = with_edge.extended(forms=[lf(1, P)])
+    premise = with_edge.changed(forms=[lf(1, P)])
     node = Derivation(
         with_edge,
         RuleTag.AGDIA,
@@ -238,7 +238,7 @@ def test_agdia_needs_the_relational_atom():
         without,
         RuleTag.AGDIA,
         {"agent": 1, "label": 0, "formula": AgDia(1, P), "witness": 1},
-        (leaf(without.extended(forms=[lf(1, P)]), 1, "p"),),
+        (leaf(without.changed(forms=[lf(1, P)]), 1, "p"),),
     )
     result = check_inference(G3_1, bare)
     assert not result.ok and "relational atom" in result.error
@@ -259,7 +259,7 @@ def example_one_with(f, at):
 
 
 def _prop_node(concl, witness):
-    premise = concl.extended(forms=[lf(witness, P)])
+    premise = concl.changed(forms=[lf(witness, P)])
     return Derivation(
         concl,
         RuleTag.PROP,
@@ -285,7 +285,7 @@ def test_agdia_nodes_recheck_as_propagation_nodes():
     """A direct relational atom is a one-letter propagation word, so every
     agentive-diamond inference survives the move to the refined calculus."""
     concl = seq(rel=[RelAtom(1, 0, 1)], forms=[lf(0, AgDia(1, P))])
-    premise = concl.extended(forms=[lf(1, P)])
+    premise = concl.changed(forms=[lf(1, P)])
     principal = {"agent": 1, "label": 0, "formula": AgDia(1, P), "witness": 1}
     premises = (leaf(premise, 1, "p"),)
     as_agdia = Derivation(concl, RuleTag.AGDIA, principal, premises)
@@ -310,7 +310,7 @@ def test_refined_has_no_structural_rules():
     concl = seq(forms=[lf(0, P)])
     refl = Derivation(
         concl, RuleTag.REFL, {"agent": 1, "label": 0},
-        (leaf(concl.extended(rel=[RelAtom(1, 0, 0)]), 0, "p"),),
+        (leaf(concl.changed(rel=[RelAtom(1, 0, 0)]), 0, "p"),),
     )
     assert not check_inference(REFINED_1, refl).ok
     assert check_inference(G3_1, refl).ok
@@ -318,7 +318,7 @@ def test_refined_has_no_structural_rules():
 
 def test_euclidean_rule_composes_edges():
     concl = seq(rel=[RelAtom(1, 0, 1), RelAtom(1, 0, 2)], forms=[lf(0, P)])
-    premise = concl.extended(rel=[RelAtom(1, 1, 2)])
+    premise = concl.changed(rel=[RelAtom(1, 1, 2)])
     node = Derivation(
         concl,
         RuleTag.EUCL,
@@ -333,7 +333,7 @@ def test_euclidean_rule_composes_edges():
         missing,
         RuleTag.EUCL,
         {"agent": 1, "apex": 0, "source": 1, "target": 2},
-        (leaf(missing.extended(rel=[RelAtom(1, 1, 2)]), 0, "p"),),
+        (leaf(missing.changed(rel=[RelAtom(1, 1, 2)]), 0, "p"),),
     )
     assert not check_inference(G3_1, broken).ok
 
@@ -344,7 +344,7 @@ def test_euclidean_rule_composes_edges():
 
 
 def _ioa_node(cfg, concl, targets, fresh):
-    premise = concl.extended(
+    premise = concl.changed(
         rel=[
             RelAtom(a, targets[(a - 1) % len(targets)], fresh)
             for a in range(1, cfg.agents + 1)
@@ -391,7 +391,7 @@ def _apc_node(concl, roots, premise_seqs):
 def test_apc_one_pairs_two_labels():
     cfg = CalculusConfig(agents=1, choices=1, mode=Mode.REFINED)
     concl = seq(forms=[lf(0, P), lf(0, NP), lf(1, Q)])
-    premise = concl.extended(rel=[RelAtom(1, 0, 1)])
+    premise = concl.changed(rel=[RelAtom(1, 0, 1)])
     assert check_inference(cfg, _apc_node(concl, (0, 1), [premise])).ok
 
 
@@ -399,7 +399,7 @@ def test_apc_two_needs_all_three_pairings():
     cfg = CalculusConfig(agents=1, choices=2, mode=Mode.REFINED)
     concl = seq(forms=[lf(0, P), lf(0, NP), lf(1, Q), lf(2, Q)])
     pairs = [(0, 1), (0, 2), (1, 2)]
-    premises = [concl.extended(rel=[RelAtom(1, k, j)]) for k, j in pairs]
+    premises = [concl.changed(rel=[RelAtom(1, k, j)]) for k, j in pairs]
     assert check_inference(cfg, _apc_node(concl, (0, 1, 2), premises)).ok
     # Premise order is immaterial.
     assert check_inference(cfg, _apc_node(concl, (0, 1, 2), premises[::-1])).ok
@@ -412,7 +412,7 @@ def test_apc_two_needs_all_three_pairings():
 
 def test_apc_is_absent_at_bound_zero():
     concl = seq(forms=[lf(0, P), lf(0, NP), lf(1, Q)])
-    premise = concl.extended(rel=[RelAtom(1, 0, 1)])
+    premise = concl.changed(rel=[RelAtom(1, 0, 1)])
     node = _apc_node(concl, (0, 1), [premise])
     result = check_inference(REFINED_1, node)
     assert not result.ok and "bound" in result.error
@@ -445,12 +445,12 @@ def test_single_agent_choice_fixture_checks_in_g3_mode():
     inner = Box(AgDia(1, NP))
 
     s0 = seq(forms=[lf(0, goal)])
-    s1 = s0.extended(forms=[lf(0, inner), lf(0, P)])
-    s2 = s1.extended(forms=[lf(1, AgDia(1, NP))])
-    s3 = s2.extended(rel=[RelAtom(1, 0, 1)])
-    s4 = s3.extended(rel=[RelAtom(1, 0, 0)])
-    s5 = s4.extended(rel=[RelAtom(1, 1, 0)])
-    s6 = s5.extended(forms=[lf(0, NP)])
+    s1 = s0.changed(forms=[lf(0, inner), lf(0, P)])
+    s2 = s1.changed(forms=[lf(1, AgDia(1, NP))])
+    s3 = s2.changed(rel=[RelAtom(1, 0, 1)])
+    s4 = s3.changed(rel=[RelAtom(1, 0, 0)])
+    s5 = s4.changed(rel=[RelAtom(1, 1, 0)])
+    s6 = s5.changed(forms=[lf(0, NP)])
 
     root = Derivation(
         s0, RuleTag.OR, {"label": 0, "formula": goal},
@@ -488,24 +488,24 @@ def ioa_two_agent_fixture():
     conj = And(AgBox(1, P), AgBox(2, Q))
 
     s0 = seq(forms=[lf(0, goal)])
-    s1 = s0.extended(forms=[lf(0, Or(left, right)), lf(0, Dia(conj))])
-    s2 = s1.extended(forms=[lf(0, left), lf(0, right)])
-    s3 = s2.extended(forms=[lf(1, AgDia(1, NP))])
-    s4 = s3.extended(forms=[lf(2, AgDia(2, NQ))])
-    s5 = s4.extended(rel=[RelAtom(1, 1, 3), RelAtom(2, 2, 3)])
-    s6 = s5.extended(forms=[lf(3, conj)])
+    s1 = s0.changed(forms=[lf(0, Or(left, right)), lf(0, Dia(conj))])
+    s2 = s1.changed(forms=[lf(0, left), lf(0, right)])
+    s3 = s2.changed(forms=[lf(1, AgDia(1, NP))])
+    s4 = s3.changed(forms=[lf(2, AgDia(2, NQ))])
+    s5 = s4.changed(rel=[RelAtom(1, 1, 3), RelAtom(2, 2, 3)])
+    s6 = s5.changed(forms=[lf(3, conj)])
 
     def branch(agent, tracked, body, atom_name, source, fresh):
         """Realize the agentive box at w3, then steer the agentive diamond
         at its source label onto the fresh label via refl and eucl."""
-        t0 = s6.extended(forms=[lf(3, tracked)])
-        t1 = t0.without_form(3, tracked).extended(
-            rel=[RelAtom(agent, 3, fresh)], forms=[lf(fresh, body)]
+        t0 = s6.changed(forms=[lf(3, tracked)])
+        t1 = t0.changed(
+            rel=[RelAtom(agent, 3, fresh)], forms=[lf(fresh, body)], lost_forms=[lf(3, tracked)]
         )
-        t2 = t1.extended(rel=[RelAtom(agent, source, source)])
-        t3 = t2.extended(rel=[RelAtom(agent, 3, source)])
-        t4 = t3.extended(rel=[RelAtom(agent, source, fresh)])
-        t5 = t4.extended(forms=[lf(fresh, NegAtom(atom_name) if isinstance(body, Atom) else Atom(atom_name))])
+        t2 = t1.changed(rel=[RelAtom(agent, source, source)])
+        t3 = t2.changed(rel=[RelAtom(agent, 3, source)])
+        t4 = t3.changed(rel=[RelAtom(agent, source, fresh)])
+        t5 = t4.changed(forms=[lf(fresh, NegAtom(atom_name) if isinstance(body, Atom) else Atom(atom_name))])
         return t0, Derivation(
             t0, RuleTag.AGBOX,
             {"agent": agent, "label": 3, "formula": tracked, "fresh": fresh},
@@ -576,7 +576,7 @@ def test_check_derivation_reports_the_offending_path():
     def break_leaf(node):
         if not node.premises:
             return Derivation(
-                node.conclusion.without_form(4, NP), node.rule, node.principal
+                node.conclusion.changed(lost_forms=[lf(4, NP)]), node.rule, node.principal
             )
         return Derivation(
             node.conclusion, node.rule, node.principal,
@@ -607,7 +607,7 @@ def test_an_agent_beyond_m_at_an_inner_node_fails_at_its_parent():
     root = prove(ProverConfig(choices=0), parse("box (p | ~p)")).derivation
     assert [root.rule, root.premises[0].rule] == [RuleTag.BOX, RuleTag.OR]
     leaf_node = root.premises[0].premises[0]
-    bad = leaf_node.conclusion.extended(forms=[lf(1, AgBox(2, P))])
+    bad = leaf_node.conclusion.changed(forms=[lf(1, AgBox(2, P))])
     mutant = replace(
         root,
         premises=(
@@ -620,7 +620,7 @@ def test_an_agent_beyond_m_at_an_inner_node_fails_at_its_parent():
 
 def test_an_agent_beyond_m_at_the_root_fails_at_the_root():
     root = prove(ProverConfig(choices=0), parse("box (p | ~p)")).derivation
-    bad = root.conclusion.extended(forms=[lf(0, AgBox(2, P))])
+    bad = root.conclusion.changed(forms=[lf(0, AgBox(2, P))])
     for mode in Mode:
         cfg = CalculusConfig(agents=1, choices=0, mode=mode)
         result = check_derivation(cfg, replace(root, conclusion=bad))

@@ -33,9 +33,10 @@ def only_run(text: str, n: int = 0):
 def drop_a_leaf_formula(node: Derivation) -> Derivation:
     """The same derivation with the last formula of its first leaf dropped."""
     if not node.premises:
-        w, f = node.conclusion.forms[-1]
         return Derivation(
-            node.conclusion.without_form(w, f), node.rule, node.principal
+            node.conclusion.changed(lost_forms=node.conclusion.forms[-1:]),
+            node.rule,
+            node.principal,
         )
     first = drop_a_leaf_formula(node.premises[0])
     return Derivation(

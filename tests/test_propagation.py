@@ -148,7 +148,7 @@ def test_side_condition_is_an_equivalence(s, agent):
     RelAtom, st.just(1), st.integers(0, 4), st.integers(0, 4)), max_size=3))
 def test_side_condition_is_monotone_in_the_relational_atoms(s, extra):
     """Adding relational atoms never severs an existing connection."""
-    t = s.extended(rel=extra)
+    t = s.changed(rel=extra)
     for w in s.labels():
         for u in s.labels():
             if side_condition_holds(s, 1, w, u):

@@ -11,8 +11,8 @@ import sys
 import time
 
 import pytest
-from forests import choice_trees, tree_of
-from hypothesis import given, settings
+from forests import choice_trees, is_forestlike, tree_of
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stitprover import (
@@ -49,6 +49,7 @@ from stitprover import (
     prove,
 )
 from stitprover import prover
+from stitprover.sequent import components
 
 P, Q = Atom("p"), Atom("q")
 NP = NegAtom("p")
@@ -191,8 +192,8 @@ def test_disjunction_needs_both_disjuncts():
     s = seq(forms=[lf(0, Or(P, Q))])
     for t, saturated in [
         (s, False),
-        (s.extended(forms=[lf(0, P)]), False),
-        (s.extended(forms=[lf(0, P), lf(0, Q)]), True),
+        (s.changed(forms=[lf(0, P)]), False),
+        (s.changed(forms=[lf(0, P), lf(0, Q)]), True),
     ]:
         assert is_saturated(t, 0) == saturated == is_stable(t, 0)
 
@@ -201,8 +202,8 @@ def test_conjunction_needs_one_conjunct():
     s = seq(forms=[lf(0, And(P, Q))])
     assert not is_saturated(s, 0)
     assert not is_stable(s, 0)
-    assert is_saturated(s.extended(forms=[lf(0, Q)]), 0)
-    assert is_stable(s.extended(forms=[lf(0, Q)]), 0)
+    assert is_saturated(s.changed(forms=[lf(0, Q)]), 0)
+    assert is_stable(s.changed(forms=[lf(0, Q)]), 0)
 
 
 def test_saturation_is_per_label():
@@ -216,24 +217,24 @@ def test_box_realization_may_use_any_label():
     s = seq(forms=[lf(0, Box(P))])
     assert not is_box_realized(s, 0)
     assert not is_stable(s, 0)
-    assert is_box_realized(s.extended(forms=[lf(1, P)]), 0)
-    assert is_stable(s.extended(forms=[lf(1, P)]), 0)
+    assert is_box_realized(s.changed(forms=[lf(1, P)]), 0)
+    assert is_stable(s.changed(forms=[lf(1, P)]), 0)
 
 
 def test_agbox_realization_is_tree_local():
     s = seq(forms=[lf(0, AgBox(1, P)), lf(1, P)])
     assert not is_agbox_realized(s, 0)  # w1 sits in a different tree
     assert not is_stable(s, 0)
-    assert is_agbox_realized(s.extended(rel=[RelAtom(1, 0, 1)]), 0)
-    assert is_stable(s.extended(rel=[RelAtom(1, 0, 1)]), 0)
+    assert is_agbox_realized(s.changed(rel=[RelAtom(1, 0, 1)]), 0)
+    assert is_stable(s.changed(rel=[RelAtom(1, 0, 1)]), 0)
 
 
 def test_dia_propagation_reaches_every_label():
     s = seq(forms=[lf(0, Dia(P)), lf(0, P)])
     assert is_dia_propagated(s, 0)
     assert is_stable(s, 0)
-    assert not is_dia_propagated(s.extended(forms=[lf(1, Q)]), 0)
-    assert not is_stable(s.extended(forms=[lf(1, Q)]), 0)
+    assert not is_dia_propagated(s.changed(forms=[lf(1, Q)]), 0)
+    assert not is_stable(s.changed(forms=[lf(1, Q)]), 0)
 
 
 def test_agdia_propagation_is_tree_local():
@@ -241,11 +242,11 @@ def test_agdia_propagation_is_tree_local():
     assert is_agdia_propagated(s, 0)
     assert is_stable(s, 0)
     # A disconnected label is outside the choice tree and puts no demand.
-    assert is_agdia_propagated(s.extended(forms=[lf(5, Q)]), 0)
-    assert is_stable(s.extended(forms=[lf(5, Q)]), 0)
+    assert is_agdia_propagated(s.changed(forms=[lf(5, Q)]), 0)
+    assert is_stable(s.changed(forms=[lf(5, Q)]), 0)
     # A connected one does.
-    assert not is_agdia_propagated(s.extended(rel=[RelAtom(1, 1, 2)]), 0)
-    assert not is_stable(s.extended(rel=[RelAtom(1, 1, 2)]), 0)
+    assert not is_agdia_propagated(s.changed(rel=[RelAtom(1, 1, 2)]), 0)
+    assert not is_stable(s.changed(rel=[RelAtom(1, 1, 2)]), 0)
 
 
 def test_choice_consistency_counts_trees():
@@ -326,6 +327,79 @@ def sequents(draw):
 @given(sequents(), st.integers(min_value=0, max_value=3))
 def test_is_stable_matches_the_reference_on_random_sequents(s, n):
     assert _stability(is_stable, s, n) == _stability(reference_is_stable, s, n)
+
+
+# ---------------------------------------------------------------------------
+# The search's choice forest against the reference in ``tests/forests.py``
+# ---------------------------------------------------------------------------
+
+
+def _assert_forest_is_the_reference(state, s: LabelledSequent) -> None:
+    """The state holds the labels of ``s``, and the trees, members and forest
+    flag that ``components`` and ``is_forestlike`` give for it; on a forest,
+    the parent pointers and the roots of ``choice_trees`` too."""
+    blocks = components(s)
+    assert state.labels == list(s.labels())
+    assert state.tree == {u: min(block) for block in blocks for u in block}
+    assert state.members == {min(block): sorted(block) for block in blocks}
+    assert state.forest == is_forestlike(s)
+    if state.forest:
+        assert state.parent == {target: source for _, source, target in s.rel}
+        assert state.roots() == [tree.root for tree in choice_trees(s)]
+
+
+def test_going_back_to_a_mark_restores_the_reference_forest(monkeypatch):
+    """After each ``truncate`` of every search over all formulas with at most
+    two connectives, at n = 0..2, the forest is the one the reference reads
+    off the sequent the state holds.  Those searches go back past atoms but
+    past no label, so three goals that go back past fresh labels join them."""
+    truncate, undone = prover._State.truncate, {"atoms": 0, "labels": 0}
+
+    def checked(state, mark):
+        atoms, labels = len(state.rel), len(state.labels)
+        truncate(state, mark)
+        undone["atoms"] += atoms - len(state.rel)
+        undone["labels"] += labels - len(state.labels)
+        _assert_forest_is_the_reference(state, state.sequent())
+
+    monkeypatch.setattr(prover._State, "truncate", checked)
+    fresh = ["(box p | dia ~p) & q", "([1] p | <1> ~p) & q", "dia [1] p & dia (~p & [1] q) -> p | q"]
+    for goal in [*enumerate_formulas(2), *map(parse, fresh)]:
+        for n in range(3):
+            prove(ProverConfig(choices=n), goal)
+    assert undone["atoms"] > 100 and undone["labels"] > 0, undone
+
+
+@st.composite
+def graphs(draw):
+    """Up to four labels with atoms of agents 1 and 2 among them, so with
+    parallel atoms, self-loops, two-cycles and in-degree two, and a few
+    labelled formulas."""
+    label = st.integers(min_value=0, max_value=3)
+    atom = st.builds(RelAtom, st.integers(min_value=1, max_value=2), label, label)
+    form = st.builds(LabelledFormula, label, st.sampled_from([P, NP, Box(P)]))
+    return seq(draw(st.lists(atom, max_size=6)), draw(st.lists(form, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), graphs())
+@example(seq([RelAtom(1, 0, 1), RelAtom(2, 0, 1)]), seq([RelAtom(1, 1, 0)]))
+@example(seq([RelAtom(1, 0, 1)]), seq([RelAtom(2, 1, 1), RelAtom(1, 0, 0)]))
+@example(seq([RelAtom(1, 0, 2), RelAtom(2, 1, 2)]), seq([RelAtom(2, 0, 1)]))
+@example(seq([RelAtom(1, 0, 1), RelAtom(1, 2, 3)]), seq([RelAtom(2, 3, 1)]))
+def test_loading_and_going_back_give_the_reference_forest(s, more):
+    """``_load`` builds the forest of ``s`` atom by atom.  Linking the atoms
+    of ``more`` among its labels, then going back to the mark before them,
+    gives the forests of the sequent with them and of ``s`` again."""
+    state = prover._load(s)
+    _assert_forest_is_the_reference(state, s)
+    mark = state.mark()
+    extra = [a for a in more.rel if a not in s.rel and {a.source, a.target} <= set(s.labels())]
+    for atom in extra:
+        state.link(atom)
+    _assert_forest_is_the_reference(state, s.changed(rel=extra))
+    state.truncate(mark)
+    _assert_forest_is_the_reference(state, s)
 
 
 def _first_step(monkeypatch, make_step):

@@ -612,8 +612,9 @@ def _in_written_order(obj: dict) -> dict:
 def test_the_model_reader_takes_only_what_reads_back_as_written(obj):
     """One edit to a written model, at any path.  The reader raises
     `ValueError` and nothing else, or takes a model that `model_to_json`
-    writes back as the same text, up to its sorting: a `true` read as a
-    world, or a repeated pair dropped, would show."""
+    writes back as the same text, up to its sorting, and whose every world
+    is an `int`: a `true` read as a world, kept a `bool` or made an `int`,
+    or a repeated pair dropped, would show."""
     try:
         model = model_from_json(obj)
     except ValueError:
@@ -621,3 +622,6 @@ def test_the_model_reader_takes_only_what_reads_back_as_written(obj):
     assert json.dumps(model_to_json(model), sort_keys=True) == json.dumps(
         _in_written_order(obj), sort_keys=True
     )
+    related = [w for pairs in model.rel.values() for pair in pairs for w in pair]
+    valued = [w for worlds in model.val.values() for w in worlds]
+    assert all(type(w) is int for w in [*model.worlds, *related, *valued])

@@ -82,9 +82,9 @@ def test_labels_cover_rel_and_forms():
     assert s.labels() == (W, U, Z)
 
 
-def test_extended_is_pure():
+def test_a_change_is_pure():
     s = seq(forms=[LabelledFormula(W, P)])
-    t = s.extended(rel=[RelAtom(1, W, U)], forms=[LabelledFormula(U, P)])
+    t = s.changed(rel=[RelAtom(1, W, U)], forms=[LabelledFormula(U, P)])
     assert s == seq(forms=[LabelledFormula(W, P)])
     assert t.has_rel(RelAtom(1, W, U)) and t.has_form(U, P)
 
@@ -120,9 +120,9 @@ def test_a_change_keeps_entries_and_sets_in_agreement(s, data):
     assert t == LabelledSequent(t.rel, t.forms) and hash(t) == hash(LabelledSequent(t.rel, t.forms))
 
 
-def test_without_form_removes_one_formula():
+def test_a_change_removes_one_formula():
     s = seq(forms=[LabelledFormula(W, P), LabelledFormula(U, P)])
-    t = s.without_form(W, P)
+    t = s.changed(lost_forms=[LabelledFormula(W, P)])
     assert not t.has_form(W, P)
     assert t.has_form(U, P)
 
@@ -175,7 +175,7 @@ def test_choice_trees_of_the_example():
 
 
 def test_choice_trees_split_disconnected_labels():
-    s = example_two().extended(forms=[LabelledFormula(9, P)])
+    s = example_two().changed(forms=[LabelledFormula(9, P)])
     roots = [t.root for t in choice_trees(s)]
     assert roots == [W, 9]
 
@@ -187,7 +187,7 @@ def test_choice_trees_reject_non_forests():
 
 
 def test_tree_of_is_the_connected_component():
-    s = example_two().extended(forms=[LabelledFormula(9, P)])
+    s = example_two().changed(forms=[LabelledFormula(9, P)])
     assert tree_of(s, U) == frozenset({W, U, V, Z})
     assert tree_of(s, 9) == frozenset({9})
     with pytest.raises(ValueError):
