@@ -363,7 +363,9 @@ def test_going_back_to_a_mark_restores_the_reference_forest(monkeypatch):
         _assert_forest_is_the_reference(state, state.sequent())
 
     monkeypatch.setattr(prover._State, "truncate", checked)
-    fresh = ["(box p | dia ~p) & q", "([1] p | <1> ~p) & q", "dia [1] p & dia (~p & [1] q) -> p | q"]
+    fresh = [
+        "(box p | dia ~p) & q", "([1] p | <1> ~p) & q", "dia [1] p & dia (~p & [1] q) -> p | q"
+    ]
     for goal in [*enumerate_formulas(2), *map(parse, fresh)]:
         for n in range(3):
             prove(ProverConfig(choices=n), goal)
@@ -387,6 +389,7 @@ def graphs(draw):
 @example(seq([RelAtom(1, 0, 1)]), seq([RelAtom(2, 1, 1), RelAtom(1, 0, 0)]))
 @example(seq([RelAtom(1, 0, 2), RelAtom(2, 1, 2)]), seq([RelAtom(2, 0, 1)]))
 @example(seq([RelAtom(1, 0, 1), RelAtom(1, 2, 3)]), seq([RelAtom(2, 3, 1)]))
+@example(seq([RelAtom(1, 0, 1), RelAtom(2, 1, 0)]), seq([RelAtom(1, 0, 0)]))
 def test_loading_and_going_back_give_the_reference_forest(s, more):
     """``_load`` builds the forest of ``s`` atom by atom.  Linking the atoms
     of ``more`` among its labels, then going back to the mark before them,
