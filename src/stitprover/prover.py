@@ -363,7 +363,6 @@ class _State:
                 self.members[gone] = moved
                 for u in moved:
                     self.tree[u] = gone
-        # the labels made since are one-label trees again
         for w in self.labels[labels:]:
             del self.at[w], self.has[w], self.tree[w], self.members[w]
         del self.labels[labels:]
