@@ -59,6 +59,7 @@ from .sequent import Label, LabelledFormula, LabelledSequent, RelAtom, component
 class Mode(Enum):
     G3 = "g3"
     REFINED = "refined"
+    __hash__ = object.__hash__  # in C, not `Enum`'s in Python: hashed per node
 
 
 class RuleTag(Enum):
@@ -74,6 +75,7 @@ class RuleTag(Enum):
     EUCL = "eucl"
     IOA = "ioa"
     APC = "apc"
+    __hash__ = object.__hash__  # as `Mode`'s
 
 
 _ALLOWED = {

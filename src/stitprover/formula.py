@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import FrozenInstanceError
-from typing import Callable, TypeVar, Union
+from typing import Container, Union
 
 # ---------------------------------------------------------------------------
 # AST
@@ -193,7 +193,6 @@ def _show_fields(f: _Node) -> str:
 
 
 Formula = Union[Atom, NegAtom, And, Or, Box, Dia, AgBox, AgDia]
-_T = TypeVar("_T")
 
 # Reserved atom backing the `true` / `false` surface constants.  The name is
 # not a legal identifier, so user input can never collide with it.
@@ -203,7 +202,7 @@ TRUE = Or(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
 FALSE = And(Atom(RESERVED_ATOM), NegAtom(RESERVED_ATOM))
 # Where every negation starts: `TRUE` and `FALSE` negate to each other, not
 # to mirror images, so that `!true` reads back from its printed text.
-_NEGATED = {id(TRUE): FALSE, id(FALSE): TRUE}
+_NEGATED = {TRUE: FALSE, FALSE: TRUE}
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +221,23 @@ _DUAL = {
 }
 
 
-def _negate(f: Formula, done: dict[int, Formula]) -> Formula:
-    """The negation of ``f``, on an explicit stack.  ``done`` maps the id of
-    each node negated so far to its negation and back, holding both, so a
-    shared node is negated once and a negation negates back to its node:
-    `parse` passes one ``done`` to all the negations of one text."""
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if id(g) in done:
-            todo.pop()
-            continue
+def _negate(f: Formula, done: dict[Formula, Formula]) -> Formula:
+    """The negation of ``f``.  ``done`` maps each node negated so far to
+    its negation and back, holding both, so a shared node is negated once
+    and a negation negates back to its node: `parse` passes one ``done`` to
+    all the negations of one text, and no node in it is walked again."""
+    for g in nodes(f, placed=done):
         cls = type(g)
         if cls is Atom or cls is NegAtom:
             dual = _DUAL[cls](g.name)
         elif cls is And or cls is Or:
-            left, right = done.get(id(g.left)), done.get(id(g.right))
-            if left is None or right is None:
-                todo += (g.right, g.left)
-                continue
-            dual = _DUAL[cls](left, right)
-        elif cls in _MODAL:
-            body = done.get(id(g.body))
-            if body is None:
-                todo.append(g.body)
-                continue
-            dual = _DUAL[cls]
-            dual = dual(g.agent, body) if isinstance(g, _Agentive) else dual(body)
+            dual = _DUAL[cls](done[g.left], done[g.right])
+        elif cls is Box or cls is Dia:
+            dual = _DUAL[cls](done[g.body])
         else:
-            raise TypeError(f"not a formula: {g!r}")
-        todo.pop()
-        done[id(g)], done[id(dual)] = dual, g
-    return done[id(f)]
+            dual = _DUAL[cls](g.agent, done[g.body])
+        done[g], done[dual] = dual, g
+    return done[f]
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -287,68 +271,62 @@ def _walk(f: Formula) -> list[Formula]:
     return nodes
 
 
-def _distinct(formulas: tuple[Formula, ...]) -> list[Formula]:
-    """The node objects of ``formulas``, each once however often it is
-    shared, on an explicit stack."""
-    nodes, seen, todo = [], set(), list(formulas)
-    while todo:
-        g = todo.pop()
-        if id(g) not in seen:
-            seen.add(id(g))
-            nodes.append(g)
-            cls = type(g)
-            if cls is And or cls is Or:
-                todo += (g.left, g.right)
-            elif cls in _MODAL:
-                todo.append(g.body)
-    return nodes
+# Pushed between a node and its operands: popped, it says that they are in
+# the order, so the node goes next.
+_OPERANDS_DONE = object()
 
 
-def fold(
-    f: Formula,
-    leaf: Callable[[Formula], _T],
-    connective: Callable[[Formula, list[_T]], _T],
-) -> _T:
-    """``f`` folded bottom-up on an explicit stack, so its depth is limited
-    by memory only: ``leaf(g)`` for a literal ``g``, ``connective(g,
-    values)`` for any other node given its operands' values, left first."""
-    values: list[_T] = []
-    todo: list = [f]
+def nodes(*formulas: Formula, placed: Container[Formula] = ()) -> list[Formula]:
+    """Each distinct node of ``formulas`` once, however often it is shared,
+    operands before the nodes that hold them and left before right, on an
+    explicit stack, so the depth of a formula is limited by memory only.  A
+    node in ``placed`` is left out, with every node reached only through it."""
+    order: list[Formula] = []
+    met: set[Formula] = set()
+    todo: list = list(formulas)
+    todo.reverse()
     while todo:
         g = todo.pop()
-        if type(g) is tuple:  # a connective whose operands are folded
-            g, arity = g
-            operands = values[-arity:]
-            del values[-arity:]
-            values.append(connective(g, operands))
+        if g is _OPERANDS_DONE:
+            order.append(todo.pop())
             continue
+        if g in met or g in placed:
+            continue
+        met.add(g)
         cls = type(g)
         if cls is Atom or cls is NegAtom:
-            values.append(leaf(g))
+            order.append(g)
         elif cls is And or cls is Or:
-            todo += ((g, 2), g.right, g.left)
+            todo += (g, _OPERANDS_DONE, g.right, g.left)
         elif cls in _MODAL:
-            todo += ((g, 1), g.body)
+            todo += (g, _OPERANDS_DONE, g.body)
         else:
             raise TypeError(f"not a formula: {g!r}")
-    return values[0]
+    return order
 
 
 def atoms(*formulas: Formula) -> frozenset[str]:
-    """The atom names of ``formulas``, walking each shared node once."""
+    """The atom names of ``formulas``."""
     return frozenset(
-        g.name for g in _distinct(formulas) if type(g) is Atom or type(g) is NegAtom
+        g.name for g in nodes(*formulas) if type(g) is Atom or type(g) is NegAtom
     )
 
 
 def agents_of(f: Formula) -> frozenset[int]:
-    return frozenset(
-        g.agent for g in _distinct((f,)) if type(g) is AgBox or type(g) is AgDia
-    )
+    return frozenset(g.agent for g in nodes(f) if type(g) is AgBox or type(g) is AgDia)
 
 
 def depth(f: Formula) -> int:
-    return fold(f, lambda g: 0, lambda g, depths: 1 + max(depths))
+    depths: dict[Formula, int] = {}
+    for g in nodes(f):
+        cls = type(g)
+        if cls is Atom or cls is NegAtom:
+            depths[g] = 0
+        elif cls is And or cls is Or:
+            depths[g] = 1 + max(depths[g.left], depths[g.right])
+        else:
+            depths[g] = 1 + depths[g.body]
+    return depths[f]
 
 
 def connective_count(f: Formula) -> int:
@@ -405,10 +383,10 @@ def _at(text: str, i: int) -> int:
 
 # The most nodes (subformula occurrences) of a formula `parse` builds: the
 # one limit on its input.  Each `<->` copies both of its operands twice, so a
-# chain of them doubles the syntax tree per link, and printing it walks every
-# node; the parser counts the nodes before it builds.  Depth is limited by
-# memory only, since the parser and every walk over a formula keep their own
-# stacks, and a deep goal by the search's time.
+# chain of them doubles the syntax tree per link, and its printed text holds
+# every node; the parser counts the nodes before it builds.  Depth is limited
+# by memory only, since the parser and every walk over a formula keep their
+# own stacks, and a deep goal by the search's time.
 MAX_NODES = 10_000
 
 # The binding power of each binary operator: read after an operand, it
@@ -430,7 +408,7 @@ def _take(text: str, tokens: list, i: int, want: str | None = None) -> str:
     return tok
 
 
-def _reduce(text: str, op: tuple, operands: list, done: dict[int, Formula]) -> None:
+def _reduce(text: str, op: tuple, operands: list, done: dict[Formula, Formula]) -> None:
     """Apply the pending operator ``op`` of ``text`` to the operand on top
     of ``operands``, or to the two on top if it is binary, once the node
     count of what it builds is admitted."""
@@ -543,45 +521,32 @@ def pretty(f: Formula) -> str:
 
 
 def printed(*formulas: Formula) -> dict[Formula, str]:
-    """The text `pretty` gives each distinct subformula of ``formulas``, by
-    one fold on an explicit stack that prints each shared node once, and
-    parenthesises an operand of lower precedence than its place admits.
-    The certificate writer and reader seed their memos with the root's."""
+    """The text `pretty` gives each distinct subformula of ``formulas``,
+    each printed once however often it is shared, with an operand
+    parenthesised if its precedence is lower than its place admits.  The
+    certificate writer and reader seed their memos with the root's."""
     texts: dict[Formula, str] = {}
-    todo: list = list(formulas)
-    while todo:
-        g = todo.pop()
+    for g in nodes(*formulas):
         cls = type(g)
-        if cls is tuple:  # a connective whose operands are printed
-            g = g[0]
-            cls = type(g)
-            if g is TRUE or g is FALSE:
-                texts[g] = "true" if g is TRUE else "false"
-            elif cls is And or cls is Or:
-                prec = _PRECEDENCE[cls]
-                left, right = texts[g.left], texts[g.right]
-                # Left-associative chains print flat; a right-nested `&`
-                # needs parentheses to survive the round trip.
-                if _precedence(g.left) < prec:
-                    left = f"({left})"
-                if _precedence(g.right) <= prec:
-                    right = f"({right})"
-                texts[g] = f"{left} {'&' if cls is And else '|'} {right}"
-            else:
-                body = texts[g.body]
-                if _precedence(g.body) < _PREC_UNARY:
-                    body = f"({body})"
-                texts[g] = _PREFIX[cls].format(getattr(g, "agent", None)) + body
-        elif g in texts:
-            continue
-        elif cls is Atom or cls is NegAtom:
+        if cls is Atom or cls is NegAtom:
             texts[g] = g.name if cls is Atom else f"~{g.name}"
+        elif g is TRUE or g is FALSE:
+            texts[g] = "true" if g is TRUE else "false"
         elif cls is And or cls is Or:
-            todo += ((g,), g.right, g.left)
-        elif cls in _MODAL:
-            todo += ((g,), g.body)
+            prec = _PRECEDENCE[cls]
+            left, right = texts[g.left], texts[g.right]
+            # Left-associative chains print flat; a right-nested `&` needs
+            # parentheses to survive the round trip.
+            if _precedence(g.left) < prec:
+                left = f"({left})"
+            if _precedence(g.right) <= prec:
+                right = f"({right})"
+            texts[g] = f"{left} {'&' if cls is And else '|'} {right}"
         else:
-            raise TypeError(f"not a formula: {g!r}")
+            body = texts[g.body]
+            if _precedence(g.body) < _PREC_UNARY:
+                body = f"({body})"
+            texts[g] = _PREFIX[cls].format(getattr(g, "agent", None)) + body
     return texts
 
 

@@ -106,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .calculus import Derivation, RuleTag
-from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or
+from .formula import AgBox, AgDia, And, Atom, Box, Dia, Formula, NegAtom, Or, nodes
 from .sequent import Label, LabelledFormula, LabelledSequent, RelAtom
 
 
@@ -207,12 +207,11 @@ class _State:
     """
 
     __slots__ = (
-        "_keys", "form", "kind", "left", "right", "comp", "holders", "labels",
+        "form", "kind", "left", "right", "comp", "holders", "labels",
         "at", "has", "log", "rel", "undo", "parent", "tree", "members", "forest",
     )
 
     def __init__(self) -> None:
-        self._keys: dict[tuple, int] = {}
         self.form: list[Formula] = []
         self.kind: list[int] = []
         self.left: list[int] = []
@@ -233,53 +232,40 @@ class _State:
     # -- the closure ---------------------------------------------------------
 
     def intern(self, formulas: list[Formula]) -> list[int]:
-        """The ids of ``formulas``, interning their subformulas operands
-        first, without recursion; a node already met is not walked again.
+        """The ids of ``formulas``, interning each distinct subformula once,
+        operands first; a state interns once, as `prove` and `_load` do.
 
         The complement of ``f & g`` is the ``|`` of the complements of ``f``
         and ``g``, and so on by duality.  Of a formula and its complement,
         the one interned second finds the other by that key, since the
         complements of its operands are linked by then, and links both."""
-        ids: dict[int, int] = {}  # id() of a node met -> its formula id
-        keys, form, comp = self._keys, self.form, self.comp
-        for f in formulas:
-            walk, todo = [], [f]
-            while todo:
-                g = todo.pop()
-                if id(g) not in ids:
-                    walk.append(g)
-                    cls = type(g)
-                    if cls is And or cls is Or:
-                        todo += (g.left, g.right)
-                    elif cls is not Atom and cls is not NegAtom:
-                        todo.append(g.body)
-            for g in reversed(walk):  # operands before the formula
-                cls = type(g)
-                kind, dual = _SHAPE[cls]
-                if kind == _LIT:
-                    left = right = -1
-                    key, dual_key = (cls, g.name), (dual, g.name)
-                elif kind <= _AND:
-                    left, right = ids[id(g.left)], ids[id(g.right)]
-                    key, dual_key = (cls, left, right), (dual, comp[left], comp[right])
-                else:
-                    left, right = ids[id(g.body)], -1
-                    agent = g.agent if kind == _AGDIA or kind == _AGBOX else 0
-                    key, dual_key = (cls, agent, left), (dual, agent, comp[left])
-                fid = keys.get(key)
-                if fid is None:
-                    fid = keys[key] = len(form)
-                    other = keys.get(dual_key, -1)
-                    if other >= 0:
-                        comp[other] = fid
-                    form.append(g)
-                    self.kind.append(kind)
-                    self.left.append(left)
-                    self.right.append(right)
-                    comp.append(other)
-                    self.holders.append(0)
-                ids[id(g)] = fid
-        return [ids[id(f)] for f in formulas]
+        ids: dict[Formula, int] = {}
+        keys: dict[tuple, int] = {}
+        form, comp = self.form, self.comp
+        for g in nodes(*formulas):
+            cls = type(g)
+            kind, dual = _SHAPE[cls]
+            if kind == _LIT:
+                left = right = -1
+                key, dual_key = (cls, g.name), (dual, g.name)
+            elif kind <= _AND:
+                left, right = ids[g.left], ids[g.right]
+                key, dual_key = (cls, left, right), (dual, comp[left], comp[right])
+            else:
+                left, right = ids[g.body], -1
+                agent = g.agent if kind == _AGDIA or kind == _AGBOX else 0
+                key, dual_key = (cls, agent, left), (dual, agent, comp[left])
+            fid = ids[g] = keys[key] = len(form)
+            other = keys.get(dual_key, -1)
+            if other >= 0:
+                comp[other] = fid
+            form.append(g)
+            self.kind.append(kind)
+            self.left.append(left)
+            self.right.append(right)
+            comp.append(other)
+            self.holders.append(0)
+        return [ids[f] for f in formulas]
 
     # -- the sequent ---------------------------------------------------------
 

@@ -43,8 +43,7 @@ from .formula import (
     NegAtom,
     Or,
     atoms,
-    fold,
-    subformulae,
+    nodes,
 )
 from .sequent import LabelledSequent, components
 
@@ -153,27 +152,26 @@ def evaluate(model: Model, world: int, f: Formula) -> bool:
     worlds = frozenset(model.worlds)
     cells = _cells_of(model)
     empty: frozenset[int] = frozenset()
-
-    def literal(g: Formula) -> frozenset[int]:
-        if type(g) is Atom:
-            return model.val.get(g.name, empty) & worlds
-        return worlds - model.val.get(g.name, empty)
-
-    def connective(g: Formula, truth: list[frozenset[int]]) -> frozenset[int]:
+    truth: dict[Formula, frozenset[int]] = {}
+    for g in nodes(f):
         cls = type(g)
-        if cls is And:
-            return truth[0] & truth[1]
-        if cls is Or:
-            return truth[0] | truth[1]
-        if cls is Box:
-            return worlds if truth[0] == worlds else empty
-        if cls is Dia:
-            return worlds if truth[0] else empty
-        if cls is AgBox:
-            return frozenset(w for w in worlds if cells[g.agent][w] <= truth[0])
-        return frozenset(w for w in worlds if cells[g.agent][w] & truth[0])
-
-    return world in fold(f, literal, connective)
+        if cls is Atom:
+            truth[g] = model.val.get(g.name, empty) & worlds
+        elif cls is NegAtom:
+            truth[g] = worlds - model.val.get(g.name, empty)
+        elif cls is And:
+            truth[g] = truth[g.left] & truth[g.right]
+        elif cls is Or:
+            truth[g] = truth[g.left] | truth[g.right]
+        elif cls is Box:
+            truth[g] = worlds if truth[g.body] == worlds else empty
+        elif cls is Dia:
+            truth[g] = worlds if truth[g.body] else empty
+        elif cls is AgBox:
+            truth[g] = frozenset(w for w in worlds if cells[g.agent][w] <= truth[g.body])
+        else:
+            truth[g] = frozenset(w for w in worlds if cells[g.agent][w] & truth[g.body])
+    return world in truth[f]
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +267,7 @@ def default_world_bound(f: Formula) -> int:
     is NEXPTIME-complete (Balbiani, Herzig and Troquard, *J. Philos. Logic*
     37, 2008), so no polynomial bound can be complete for it.
     """
-    h = a = 0
-    agents = set()
-    for g in subformulae(f):
-        if isinstance(g, Box):
-            h += 1
-        elif isinstance(g, (AgBox, AgDia)):
-            agents.add(g.agent)
-            if isinstance(g, AgBox):
-                a += 1
-    if len(agents) > 1:
-        return 1 + h + a
-    return (1 + h) * (1 + a)
+    return _world_bound(_compile(f)[0])
 
 
 def decide_by_enumeration(
@@ -301,11 +288,11 @@ def decide_by_enumeration(
     ``!([1] p & dia [1] ~p & [2] r & dia [2] ~r)`` has a counter-model of
     4 worlds, one more than its bound).
     """
-    default = default_world_bound(f)
+    program, names = _compile(f)
+    default = _world_bound(program)
     bound = default if max_worlds is None else max_worlds
     if bound < 1:
         raise ValueError("max_worlds must be at least 1")
-    program, names = _compile(f)
     if any(kind >= _BOX and rel > agents for kind, rel, _ in program):
         raise ValueError(f"the goal mentions an agent beyond {agents}")
     if len(names) > MAX_ATOMS:
@@ -368,25 +355,42 @@ def _compile(f: Formula) -> tuple[list[tuple[int, int, int]], list[str]]:
     """The distinct subformulas of ``f`` in post-order, ``f`` last, as
     ``(kind, x, y)``, and the atoms in the order met.  ``x`` is an atom's
     index, a child's position or a modality's relation, and ``y`` the body
-    of a modality.  Equal subformulas get one position, since their tuples
-    are equal."""
+    of a modality."""
     names: dict[str, int] = {}
-    position: dict[tuple[int, int, int], int] = {}
-
-    def literal(g: Formula) -> int:
-        op = (_KINDS[type(g)], names.setdefault(g.name, len(names)), 0)
-        return position.setdefault(op, len(position))
-
-    def connective(g: Formula, operands: list[int]) -> int:
+    program: list[tuple[int, int, int]] = []
+    position: dict[Formula, int] = {}
+    for g in nodes(f):
         kind = _KINDS[type(g)]
-        if kind <= _OR:
-            op = (kind, *operands)
+        if kind <= _NEG:
+            op = (kind, names.setdefault(g.name, len(names)), 0)
+        elif kind <= _OR:
+            op = (kind, position[g.left], position[g.right])
         else:  # relation 0 is that of box and dia
-            op = (kind, getattr(g, "agent", 0), operands[0])
-        return position.setdefault(op, len(position))
+            op = (kind, getattr(g, "agent", 0), position[g.body])
+        position[g] = len(program)
+        program.append(op)
+    return program, list(names)
 
-    fold(f, literal, connective)
-    return list(position), list(names)
+
+def _world_bound(program: list[tuple[int, int, int]]) -> int:
+    """`default_world_bound` of the formula compiled to ``program``, from
+    how often each of its distinct subformulas occurs, counted parents
+    first."""
+    occurrences = [0] * len(program)
+    occurrences[-1] = 1
+    for i in range(len(program) - 1, -1, -1):
+        kind, x, y = program[i]
+        if kind == _AND or kind == _OR:
+            occurrences[x] += occurrences[i]
+            occurrences[y] += occurrences[i]
+        elif kind >= _BOX:  # relation ``x``, body ``y``
+            occurrences[y] += occurrences[i]
+    boxes = [(x, count) for (kind, x, _), count in zip(program, occurrences) if kind == _BOX]
+    h = sum(count for x, count in boxes if x == 0)
+    a = sum(count for x, count in boxes if x != 0)
+    if len({x for kind, x, _ in program if kind >= _BOX} - {0}) > 1:
+        return 1 + h + a
+    return (1 + h) * (1 + a)
 
 
 def _truth(

@@ -194,7 +194,7 @@ def derivation_to_json(cfg: CalculusConfig, root: Derivation) -> dict:
     node in pre-order, ``[rule, principal, premise count, delta]``, where
     the delta is the node's conclusion against its parent's and the root's
     step has none.  Each distinct formula is printed once: the root's
-    subformulas by one fold, any other formula when it is first met."""
+    subformulas by one `printed` call, any other formula when first met."""
     shown = _Printed(printed(*(f for _, f in root.conclusion.forms)))
     steps = []
     todo: list[tuple[Derivation, Derivation | None]] = [(root, None)]

@@ -821,8 +821,8 @@ def test_a_certificate_reader_parses_each_distinct_text_once_per_call(monkeypatc
 
 def test_a_certificate_writer_prints_each_distinct_formula_once_per_call(monkeypatch):
     """Likewise the memo from formula to text of `derivation_to_json`: one
-    fold prints the root's subformulas, and any other formula is printed
-    once a call when it is first met."""
+    `printed` call prints the root's subformulas, and any other formula is
+    printed once a call when it is first met."""
     cfg, root = _bc3_certificate()
     blob = derivation_to_json(cfg, root)
     folds = []

@@ -29,6 +29,7 @@ from stitprover import (
     ParseError,
     Provable,
     ProverConfig,
+    Unprovable,
     check_derivation,
     decide_by_enumeration,
     evaluate,
@@ -49,6 +50,7 @@ from stitprover.formula import (
     atoms,
     connective_count,
     depth,
+    nodes,
     subformulae,
 )
 from stitprover.semantics import Model
@@ -135,8 +137,8 @@ def test_subformulae_are_in_pre_order():
 def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     """A 5,000-deep chain of boxes is walked on an explicit stack, in
     pre-order, and measured, negated, printed, parsed, evaluated and decided
-    the same way.  The negation is compared level by level, by class and
-    agent."""
+    the same way; `nodes` gives it leaf first.  The negation is compared
+    level by level, by class and agent."""
     f = Atom("p")
     for i in range(5000):
         f = AgBox(2, f) if i % 2 else Box(f)
@@ -153,6 +155,7 @@ def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     subs = subformulae(f)
     assert len(subs) == 5001
     assert subs[0] is f and subs[1] is f.body and subs[-1] == Atom("p")
+    assert nodes(f) == list(reversed(subs))
     assert atoms(f) == frozenset({"p"})
     assert agents_of(f) == frozenset({2})
     assert connective_count(f) == 5000
@@ -162,6 +165,40 @@ def test_structural_helpers_walk_a_chain_deeper_than_the_recursion_limit():
     assert [type(g) for g in negated] == [dual[type(g)] for g in subs]
     assert {g.agent for g in negated if type(g) is AgDia} == {2}
     assert negated[-1] == NegAtom("p")
+
+
+def test_walks_visit_each_node_of_a_shared_formula_once():
+    """``f = f | box f``, 40 times over, has 81 distinct nodes and over
+    2 ** 40 occurrences.  Measuring, evaluating, searching, listing atoms
+    and enumerating each take the distinct nodes once, so together well
+    under a second; a walk per occurrence would not end."""
+    start = time.perf_counter()
+    f = Atom("p")
+    for _ in range(40):
+        f = Or(f, Box(f))
+    assert len(nodes(f)) == 81
+    assert depth(f) == 80
+    model = Model(worlds=(0,), rel={1: frozenset({(0, 0)})}, val={})
+    assert evaluate(model, 0, f) is False
+    result = prove(ProverConfig(choices=0), f)
+    assert isinstance(result, Unprovable) and result.stable.labels() == (0,)
+    assert atoms(f) == frozenset({"p"})
+    assert isinstance(decide_by_enumeration(f, max_worlds=1), CounterModel)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nodes_puts_operands_first_and_leaves_out_what_is_placed():
+    """Each distinct node once, operands before their holders and left
+    before right, across all the formulas given; a placed node is left out
+    with what only it reaches."""
+    p, q = Atom("p"), Atom("q")
+    shared = Box(p)
+    f = And(Or(shared, q), shared)
+    assert nodes(f) == [p, shared, q, f.left, f]
+    assert nodes(q, f, p) == [q, p, shared, f.left, f]
+    assert nodes(f, placed={f.left}) == [p, shared, f]
+    assert nodes(f, placed={shared}) == [q, f.left, f]
+    assert nodes(f, placed={f}) == [] and nodes() == []
 
 
 def _chain(leaf, agent):
@@ -249,6 +286,7 @@ def test_atoms_and_agents():
 def test_negate_and_depth_refuse_a_non_formula():
     model = Model(worlds=(0,), rel={1: frozenset({(0, 0)})}, val={})
     walks = (
+        nodes,
         negate,
         depth,
         pretty,

@@ -266,6 +266,14 @@ def test_default_world_bound_counts_universal_occurrences():
     # Several agents: a search limit of one world per box and [i], plus one.
     two = parse("dia [1] p & dia [2] q -> dia ([1] p & [2] q)", agents=2)
     assert default_world_bound(two) == 5
+    # A shared subformula counts once per occurrence: f | box f, 40 times
+    # over, holds 2 ** 40 - 1 boxes in 81 distinct nodes.
+    shared = parse("box p & [1] q")
+    assert default_world_bound(Or(shared, Or(shared, P))) == 9
+    f = P
+    for _ in range(40):
+        f = Or(f, Box(f))
+    assert default_world_bound(f) == 2 ** 40
 
 
 # The old world bound, one world per box and [1] occurrence plus one, is 7
