@@ -259,16 +259,16 @@ _MODAL = (Box, Dia, AgBox, AgDia)
 def _walk(f: Formula) -> list[Formula]:
     """The nodes of ``f`` in pre-order, left before right, on an explicit
     stack, so the depth of ``f`` is limited by memory only."""
-    nodes, todo = [], [f]
+    order, todo = [], [f]
     while todo:
         g = todo.pop()
-        nodes.append(g)
+        order.append(g)
         cls = type(g)
         if cls is And or cls is Or:
             todo += (g.right, g.left)
         elif cls in _MODAL:
             todo.append(g.body)
-    return nodes
+    return order
 
 
 # Pushed between a node and its operands: popped, it says that they are in
