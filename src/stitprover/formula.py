@@ -534,21 +534,23 @@ def printed(*formulas: Formula) -> dict[Formula, str]:
             texts[g] = "true" if g is TRUE else "false"
         elif cls is And or cls is Or:
             prec = _PRECEDENCE[cls]
-            left, right = texts[g.left], texts[g.right]
+            left, right = g.left, g.right
+            left_text, right_text = texts[left], texts[right]
             # Left-associative chains print flat; a right-nested `&` needs
-            # parentheses to survive the round trip.
-            if _precedence(g.left) < prec:
-                left = f"({left})"
-            if _precedence(g.right) <= prec:
-                right = f"({right})"
-            texts[g] = f"{left} {'&' if cls is And else '|'} {right}"
+            # parentheses to survive the round trip.  `true` and `false`
+            # print as atoms.
+            if left is not TRUE and left is not FALSE and _PRECEDENCE[type(left)] < prec:
+                left_text = f"({left_text})"
+            if right is not TRUE and right is not FALSE and _PRECEDENCE[type(right)] <= prec:
+                right_text = f"({right_text})"
+            texts[g] = f"{left_text} {'&' if cls is And else '|'} {right_text}"
         else:
-            body = texts[g.body]
-            if _precedence(g.body) < _PREC_UNARY:
-                body = f"({body})"
-            texts[g] = _PREFIX[cls].format(getattr(g, "agent", None)) + body
+            body = g.body
+            text = texts[body]
+            if body is not TRUE and body is not FALSE and _PRECEDENCE[type(body)] < _PREC_UNARY:
+                text = f"({text})"
+            prefix = _PREFIX[cls]
+            if cls is AgBox or cls is AgDia:
+                prefix = prefix.format(g.agent)
+            texts[g] = prefix + text
     return texts
-
-
-def _precedence(g: Formula) -> int:
-    return _PREC_ATOM if g is TRUE or g is FALSE else _PRECEDENCE[type(g)]

@@ -40,21 +40,48 @@ The search works on one mutable state.  It interns the goal's distinct
 subformulas once, each with an id, its kind, its operands' ids and its
 complement's id (hash-consing: Filliâtre and Conchon, "Type-Safe Modular
 Hash-Consing", 2006).  The state holds one sequent over those ids: per
-label its formulas in insertion order and as a set, per formula the number
-of labels carrying it, the choice forest as parent pointers and component
-ids, and the insertion logs of labelled formulas and relational atoms,
-each atom logged with what it changed in the forest (the parent pointer it
-set, the tree it merged away and that tree's members).  A step changes the
-state in place; every sequent met on the current branch is a prefix of the
-two logs, named by its *mark* (the log lengths and the label count).  Going
-back to a mark pops both logs down to it, undoing each entry, as a CDCL
-solver undoes its trail (Eén and Sörensson, "An Extensible SAT-solver",
-SAT 2003), and deletes the labels made since: it costs what it undoes, and
-nothing is rebuilt.  ``LabelledSequent`` values are built only for the
-stable leaf and for the nodes of a proof, from prefixes of the logs, in the
-order ``LabelledSequent.changed`` would give.  ``is_stable`` loads any
-sequent into such a state through the same steps, its labels, then its
-atoms one by one, then its formulas, and asks the same ``_step``.
+label its formulas in insertion order, each with its place, per formula
+the number of labels carrying it, the choice forest as parent pointers and component
+ids, per choice tree the number of its labels carrying each body of a
+``[1]`` or ``<1>``, and the insertion logs of labelled formulas and
+relational atoms, each atom logged with what it changed in the forest (the
+parent pointer it set, the tree it merged away, that tree's members and
+counts).
+
+A step does not scan the sequent; it reads an *agenda*, the "ToDo list"
+of pending rule applications that tableau reasoners keep (Tsarkov and
+Horrocks, "FaCT++ Description Logic Reasoner: System Description", IJCAR
+2006).  Each label keeps its compound formulas, its *triggers*, in
+insertion order, less those *retired*, and the state keeps the labels that
+have any, the *busy* ones.  On one branch the search only adds labels,
+relational atoms and formulas, and trees only merge.  Each of four
+triggers is blocked by what is present, so once blocked it stays blocked
+until the search goes back past that point: an ``|`` with both disjuncts
+present, an ``&`` with a conjunct present, a realized ``box`` (some label
+carries its body) and a realized ``[1]`` (some label of its tree does).
+``_step`` visits the busy labels ascending and their triggers in insertion
+order, which is the order of a scan with the retired triggers left out,
+and retires each of those four that it finds blocked.  Only a ``dia`` (by
+a new label) and a ``<1>`` (by a tree merge) can fire again, so they stay.
+A ``[1]`` or ``<1>`` reads how many labels of its tree carry its body from
+a count kept per tree, not by walking the tree.  A clash is recorded when
+its second literal is added, as a SAT solver revisits a clause only when a
+watched literal changes (Moskewicz et al., "Chaff: Engineering an
+Efficient SAT Solver", DAC 2001); the least one, by label and then by the
+place of its older literal, is the first clash a scan would meet.
+
+A step changes the state in place; every sequent met on the current branch
+is a prefix of the three logs (formulas, atoms, retirements), named by its
+*mark* (the log lengths and the label count).  Going back to a mark pops
+the three logs down to it in one loop, undoing each entry in the reverse of
+the order the entries were made, as a CDCL solver undoes its trail (Eén and
+Sörensson, "An Extensible SAT-solver", SAT 2003), drops the clashes
+recorded since, and deletes the labels made since: it costs what it
+undoes, and nothing is rebuilt.  ``LabelledSequent`` values are built only
+for the stable leaf and for the nodes of a proof, from prefixes of the
+logs, in the order ``LabelledSequent.changed`` would give.  ``is_stable``
+loads any sequent into such a state through the same steps, its labels,
+then its atoms one by one, then its formulas, and asks the same ``_step``.
 
 The search owns one stack, with one frame per open inference: the mark of
 the step's conclusion, its rule and principal, its premises as what each
@@ -103,6 +130,7 @@ has one tree fewer than its conclusion.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .calculus import Derivation, RuleTag
@@ -184,8 +212,8 @@ _SHAPE = {
 # as (source, target) pairs, then formula ids at labels.  A label the state
 # does not hold yet is made where it is first named.
 _Premise = tuple[tuple[tuple[Label, Label], ...], tuple[tuple[Label, int], ...]]
-# A sequent the state held: its log lengths and its label count.
-_Mark = tuple[int, int, int]
+# A sequent the state held: its three log lengths and its label count.
+_Mark = tuple[int, int, int, int]
 
 
 class _State:
@@ -194,21 +222,33 @@ class _State:
     The closure gives every distinct subformula of the formulas interned an
     id: its ``form``, ``kind``, operand ids ``left`` and ``right`` (a
     modality's body is ``left``) and its complement's id ``comp`` (-1 when
-    the complement is not in the closure).  The sequent is ``labels``,
-    ascending; each label's formula ids in insertion order (``at``) and as a
-    set (``has``); the number of labels carrying each formula id
-    (``holders``); the insertion logs of labelled formulas (``log``) and of
-    relational atoms (``rel``), with what each atom changed in the graph
-    (``undo``); and its graph as parent pointers, as each label's component
-    id (``tree``, the component's least label) with each component's
-    members ascending (``members``), and as whether it is a forest.  A
-    sequent the state held earlier is a prefix of the two logs, named by its
-    ``mark``.
+    the complement is not in the closure); ``counted`` holds the ids of the
+    bodies of ``[1]`` and ``<1>`` formulas.  The sequent is ``labels``,
+    ascending; each label's formula ids in insertion order, each mapped to
+    its place in that order (``at``); the number of labels carrying each
+    formula id (``holders``); the insertion logs of labelled formulas
+    (``log``) and of relational atoms (``rel``), with what each atom changed
+    in the graph (``undo``); and its graph as parent pointers, as each
+    label's component id (``tree``, the component's least label) with each
+    component's members ascending (``members``) and, when ``counted`` is not
+    empty, the number of them carrying each counted id (``count``), and as
+    whether it is a forest.
+
+    The agenda is each label's triggers not retired, in insertion order
+    (``live``), and the labels with any, ascending (``busy``).  ``retired``
+    logs each retirement as the formula log's length then, the label, the
+    formula id and its place in the label's live list.  ``clashes`` holds
+    the least clash as it improved: each entry is the formula log's length
+    before the clash's second literal, the clash's label with the place of
+    its older literal, and that literal's id, so the last entry is the
+    least clash held.  A sequent the state held earlier is a prefix of the
+    three logs, named by its ``mark``.
     """
 
     __slots__ = (
-        "form", "kind", "left", "right", "comp", "holders", "labels",
-        "at", "has", "log", "rel", "undo", "parent", "tree", "members", "forest",
+        "form", "kind", "left", "right", "comp", "counted", "holders", "labels",
+        "at", "live", "busy", "log", "rel", "undo", "retired", "clashes",
+        "parent", "tree", "members", "count", "forest",
     )
 
     def __init__(self) -> None:
@@ -217,16 +257,21 @@ class _State:
         self.left: list[int] = []
         self.right: list[int] = []
         self.comp: list[int] = []
+        self.counted: set[int] = set()
         self.holders: list[int] = []
         self.labels: list[Label] = []
-        self.at: dict[Label, list[int]] = {}
-        self.has: dict[Label, set[int]] = {}
+        self.at: dict[Label, dict[int, int]] = {}
+        self.live: dict[Label, list[int]] = {}
+        self.busy: list[Label] = []
         self.log: list[LabelledFormula] = []
         self.rel: list[RelAtom] = []
         self.undo: list[tuple] = []
+        self.retired: list[tuple[int, Label, int, int]] = []
+        self.clashes: list[tuple[int, tuple[Label, int], int]] = []
         self.parent: dict[Label, Label] = {}
         self.tree: dict[Label, Label] = {}
         self.members: dict[Label, list[Label]] = {}
+        self.count: dict[Label, dict[int, int]] = {}
         self.forest = True
 
     # -- the closure ---------------------------------------------------------
@@ -241,7 +286,7 @@ class _State:
         complements of its operands are linked by then, and links both."""
         ids: dict[Formula, int] = {}
         keys: dict[tuple, int] = {}
-        form, comp = self.form, self.comp
+        form, comp, counted = self.form, self.comp, self.counted
         for g in nodes(*formulas):
             cls = type(g)
             kind, dual = _SHAPE[cls]
@@ -253,7 +298,10 @@ class _State:
                 key, dual_key = (cls, left, right), (dual, comp[left], comp[right])
             else:
                 left, right = ids[g.body], -1
-                agent = g.agent if kind == _AGDIA or kind == _AGBOX else 0
+                agent = 0
+                if kind == _AGDIA or kind == _AGBOX:
+                    agent = g.agent
+                    counted.add(left)
                 key, dual_key = (cls, agent, left), (dual, agent, comp[left])
             fid = ids[g] = keys[key] = len(form)
             other = keys.get(dual_key, -1)
@@ -270,43 +318,63 @@ class _State:
     # -- the sequent ---------------------------------------------------------
 
     def mark(self) -> _Mark:
-        return len(self.log), len(self.rel), len(self.labels)
+        return len(self.log), len(self.rel), len(self.retired), len(self.labels)
 
     def sequent(self, mark: _Mark | None = None) -> LabelledSequent:
         """The sequent held now, or at ``mark``."""
-        forms, rel, _ = mark or self.mark()
+        forms, rel, _, _ = mark or self.mark()
         return LabelledSequent.from_distinct(self.rel[:rel], self.log[:forms])
 
     def add_label(self, w: Label) -> None:
         """A new label, above every label held, as a one-label tree."""
         self.labels.append(w)
-        self.at[w] = []
-        self.has[w] = set()
+        self.at[w] = {}
+        self.live[w] = []
         self.tree[w] = w
         self.members[w] = [w]
+        if self.counted:
+            self.count[w] = {}
 
     def add(self, w: Label, f: int) -> None:
+        """Add ``w: f`` unless held: a compound ``f`` joins ``w``'s live
+        triggers, and a literal whose complement ``w`` carries is a clash."""
         if w not in self.at:
             self.add_label(w)
-        if f not in self.has[w]:
-            self.has[w].add(f)
-            self.at[w].append(f)
-            self.holders[f] += 1
-            self.log.append(LabelledFormula(w, self.form[f]))
+        here = self.at[w]
+        if f in here:
+            return
+        if self.kind[f] == _LIT:
+            older = self.comp[f]
+            if older in here:
+                clash, clashes = (w, here[older]), self.clashes
+                if not clashes or clash < clashes[-1][1]:
+                    clashes.append((len(self.log), clash, older))
+        else:
+            live = self.live[w]
+            if not live:
+                insort(self.busy, w)
+            live.append(f)
+        if f in self.counted:
+            count = self.count[self.tree[w]]
+            count[f] = count.get(f, 0) + 1
+        here[f] = len(here)
+        self.holders[f] += 1
+        self.log.append(LabelledFormula(w, self.form[f]))
 
     def link(self, atom: RelAtom) -> None:
         """Add ``atom`` and merge the trees of its ends.  An atom parallel to
         an edge held adds no edge; an edge within one tree, or into a label
-        that has a parent, leaves no forest.  ``undo`` logs the forest flag
-        before, the label whose parent it set (or ``None``), the kept tree
-        with its members before, and the tree merged away with its members."""
+        that has a parent, leaves no forest.  ``undo`` logs the formula
+        log's length, the forest flag before, the label whose parent it set
+        (or ``None``), the kept tree with its members before, the tree merged
+        away with its members, and, for a merge, the two trees' counts."""
         _, source, target = atom
         for w in (source, target):
             if w not in self.at:
                 self.add_label(w)
-        parent, members = self.parent, self.members
+        parent, members, count = self.parent, self.members, self.count
         keep, gone = sorted((self.tree[source], self.tree[target]))
-        forest, child, kept, moved = self.forest, None, members[keep], []
+        forest, child, kept, moved, held, lost = self.forest, None, members[keep], [], None, None
         if target not in parent and keep != gone:
             child = target
             parent[target] = source
@@ -317,8 +385,13 @@ class _State:
             for u in moved:
                 self.tree[u] = keep
             members[keep] = sorted(kept + moved)
+            held, lost = count.get(keep), count.pop(gone, None)
+            if lost:
+                merged = count[keep] = held.copy()
+                for f, n in lost.items():
+                    merged[f] = merged.get(f, 0) + n
         self.rel.append(atom)
-        self.undo.append((forest, child, keep, kept, gone, moved))
+        self.undo.append((len(self.log), forest, child, keep, kept, gone, moved, held, lost))
 
     def apply(self, premise: _Premise) -> None:
         edges, forms = premise
@@ -330,27 +403,55 @@ class _State:
             self.add(w, f)
 
     def truncate(self, mark: _Mark) -> None:
-        """Go back to the sequent held at ``mark`` by popping the logs down to
-        it, undoing what each atom changed in the graph, then deleting the
+        """Go back to the sequent held at ``mark``.  One loop pops the three
+        logs down to it, latest entry first: the formulas added after the
+        latest atom or retirement left, then that entry, undoing what each
+        changed.  Then it drops the clashes recorded since and deletes the
         labels made since, which are one-label trees again by then."""
-        forms, rel, labels = mark
-        while len(self.log) > forms:
-            w = self.log.pop().label
-            f = self.at[w].pop()
-            self.has[w].discard(f)
-            self.holders[f] -= 1
-        while len(self.rel) > rel:
+        forms, rels, rets, labels = mark
+        log, undo, retired, kind, counted = self.log, self.undo, self.retired, self.kind, self.counted
+        at, holders, live, busy = self.at, self.holders, self.live, self.busy
+        tree, count = self.tree, self.count
+        while True:
+            atom = undo[-1][0] if len(undo) > rels else -1
+            retirement = retired[-1][0] if len(retired) > rets else -1
+            down = atom if atom > retirement else retirement
+            for _ in range(len(log) - (down if down > forms else forms)):
+                w = log.pop().label
+                f = at[w].popitem()[0]
+                holders[f] -= 1
+                if kind[f] != _LIT:
+                    triggers = live[w]
+                    triggers.pop()
+                    if not triggers:
+                        busy.remove(w)
+                if f in counted:
+                    count[tree[w]][f] -= 1
+            if retirement >= atom:
+                if retirement < 0:
+                    break
+                _, w, f, i = retired.pop()
+                triggers = live[w]
+                if not triggers:
+                    insort(busy, w)
+                triggers.insert(i, f)
+                continue
             self.rel.pop()
-            self.forest, child, keep, kept, gone, moved = self.undo.pop()
+            _, self.forest, child, keep, kept, gone, moved, held, lost = undo.pop()
             if child is not None:
                 del self.parent[child]
             if moved:
-                self.members[keep] = kept
-                self.members[gone] = moved
+                self.members[keep], self.members[gone] = kept, moved
+                if held is not None:
+                    count[keep], count[gone] = held, lost
                 for u in moved:
-                    self.tree[u] = gone
+                    tree[u] = gone
+        clashes = self.clashes
+        while clashes and clashes[-1][0] >= forms:
+            clashes.pop()
         for w in self.labels[labels:]:
-            del self.at[w], self.has[w], self.tree[w], self.members[w]
+            del at[w], live[w], tree[w], self.members[w]
+            count.pop(w, None)
         del self.labels[labels:]
 
     def roots(self) -> list[Label]:
@@ -380,9 +481,9 @@ def _load(s: LabelledSequent) -> _State:
 
 def _complementary_pair(state: _State) -> Label | None:
     """A label carrying some formula and its complement."""
-    comp, has = state.comp, state.has
+    comp, at = state.comp, state.at
     return next(
-        (w for w in state.labels if any(comp[f] in has[w] for f in state.at[w])),
+        (w for w in state.labels if any(comp[f] in at[w] for f in at[w])),
         None,
     )
 
@@ -399,6 +500,11 @@ def is_stable(s: LabelledSequent, n: int) -> bool:
 
 # An open inference; the module docstring lists its fields.
 _Frame = tuple[_Mark, RuleTag, dict, tuple[_Premise, ...], list[Derivation], int]
+# The rules whose premises have more labels or relational atoms than their
+# conclusion.  Every premise of a rule has the sizes of its first, and the
+# choice-rule edges on its branch, so `_note` reads only the first premise
+# of these.
+_GROWS = frozenset({RuleTag.BOX, RuleTag.AGBOX, RuleTag.APC})
 
 
 def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
@@ -410,30 +516,31 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
     """
     state = _State()
     (root,) = state.intern([goal])
-    bad_agents = {g.agent for g in state.form if type(g) in (AgBox, AgDia)} - {_AGENT}
+    # the box and [1] occurrences in each distinct subformula, operands first
+    boxes, agboxes, bad_agents = [], [], set()
+    for f, (kind, left, right) in enumerate(zip(state.kind, state.left, state.right)):
+        h, a = kind == _BOX, kind == _AGBOX
+        if left >= 0:
+            h += boxes[left]
+            a += agboxes[left]
+            if right >= 0:
+                h += boxes[right]
+                a += agboxes[right]
+            if (kind == _AGBOX or kind == _AGDIA) and state.form[f].agent != _AGENT:
+                bad_agents.add(state.form[f].agent)
+        boxes.append(h)
+        agboxes.append(a)
     if bad_agents:
         raise ValueError(
             f"proof search is single-agent; goal mentions agents {sorted(bad_agents)}"
         )
-    # how often each distinct subformula occurs in the goal, parents first
-    occurrences = [0] * len(state.form)
-    occurrences[root] = 1
-    for f in range(root, -1, -1):
-        for operand in (state.left[f], state.right[f]):
-            if operand >= 0:
-                occurrences[operand] += occurrences[f]
-    kinds = list(zip(state.kind, occurrences))
-    boxes = sum(count for kind, count in kinds if kind == _BOX)
-    agboxes = sum(count for kind, count in kinds if kind == _AGBOX)
-    stats = SearchStats(
-        label_bound=(1 + boxes) * (1 + agboxes),
-        rel_bound_base=agboxes * (1 + boxes),
-    )
+    h, a = boxes[root], agboxes[root]
+    stats = SearchStats(label_bound=(1 + h) * (1 + a), rel_bound_base=a * (1 + h))
     state.add(0, root)
+    _note(cfg, stats, state, 0)
     stack: list[_Frame] = []
     edges = 0
     while True:
-        _note(cfg, stats, state, edges)
         step = _step(state, cfg.choices)
         if step is None:
             # 2. nothing fires, so the sequent is stable — refutation found
@@ -465,6 +572,8 @@ def prove(cfg: ProverConfig, goal: Formula) -> ProveResult:
         if premises:
             stack.append((state.mark(), rule, principal, premises, [], edges))
             state.apply(premises[0])
+            if rule in _GROWS:
+                _note(cfg, stats, state, edges)
             continue
 
         # 1. the branch closes: pop every inference it finishes, then
@@ -490,40 +599,64 @@ def _step(
     bound ``n``: its rule, its principal data and its premises (none for a
     clash, one per case for the splits of 3(ii) and 8).
 
-    One pass in scan order returns the first clash at once.  Of the other
-    triggers it keeps the first of the highest-priority instruction that
-    fires, and tests a formula only while its instruction could still win.
+    The least clash recorded wins.  Otherwise one pass over the agenda, the
+    busy labels ascending and their live triggers in insertion order, keeps
+    the first trigger of the highest-priority instruction that fires.  It
+    tests a trigger only while its instruction could still win, stops at the
+    first ``|`` that fires, since nothing can beat it, and retires each
+    ``|``, ``&``, ``[1]`` and ``box`` it finds blocked.
     """
-    kind, left, right, comp = state.kind, state.left, state.right, state.comp
-    has, tree, members, labels = state.has, state.tree, state.members, state.labels
-    best, found = _NONE, (0, 0, 0)
-    for w in labels:
-        here = has[w]
-        for f in state.at[w]:
+    if state.clashes:
+        # 1. the least clash: ``f`` is its older literal
+        _, (w, _), f = state.clashes[-1]
+        return RuleTag.ID, {"label": w, "atom": state.form[f].name}, ()
+    kind, left, right, at, live = state.kind, state.left, state.right, state.at, state.live
+    busy, holders, labels = state.busy, state.holders, state.labels
+    best, best_w, best_f, blocked = _NONE, 0, 0, []
+    for w in busy:
+        here = at[w]
+        for f in live[w]:
             k = kind[f]
             if k >= best:
                 continue
-            if k == _LIT:
-                if comp[f] in here:
-                    return RuleTag.ID, {"label": w, "atom": state.form[f].name}, ()
-                continue
-            body, witness = left[f], None
+            body = left[f]
             if k == _OR:
-                fires = body not in here or right[f] not in here
+                if body not in here or right[f] not in here:
+                    best, best_w, best_f = k, w, f
+                    break
             elif k == _AND:
-                fires = body not in here and right[f] not in here
+                if body not in here and right[f] not in here:
+                    best, best_w, best_f = k, w, f
+                    continue
             elif k == _AGDIA:
-                mates = members[tree[w]]
-                witness = next((u for u in mates if body not in has[u]), None)
-                fires = witness is not None
+                t = state.tree[w]
+                if state.count[t].get(body, 0) < len(state.members[t]):
+                    best, best_w, best_f = k, w, f
+                continue
             elif k == _DIA:
-                fires = state.holders[body] < len(labels)
+                if holders[body] < len(labels):
+                    best, best_w, best_f = k, w, f
+                continue
             elif k == _AGBOX:
-                fires = all(body not in has[u] for u in members[tree[w]])
-            else:
-                fires = state.holders[body] == 0
-            if fires:
-                best, found = k, (w, f, witness)
+                if not state.count[state.tree[w]].get(body):
+                    best, best_w, best_f = k, w, f
+                    continue
+            elif not holders[body]:  # a box
+                best, best_w, best_f = k, w, f
+                continue
+            blocked.append((w, f))
+        if best == _OR:
+            break
+    if blocked:
+        # retire each blocked trigger, logging its place
+        forms, retired = len(state.log), state.retired
+        for w, f in blocked:
+            triggers = live[w]
+            i = triggers.index(f)
+            del triggers[i]
+            retired.append((forms, w, f, i))
+            if not triggers:
+                busy.remove(w)
 
     if best == _NONE:
         # 8. too many choice-trees — join roots pairwise, case per pair
@@ -538,7 +671,7 @@ def _step(
         )
         return RuleTag.APC, {"agent": _AGENT, "roots": roots}, premises
 
-    w, f, u = found
+    w, f = best_w, best_f
     formula, body = state.form[f], left[f]
     if best == _OR:
         # 3(i). disjunction missing a disjunct
@@ -550,11 +683,12 @@ def _step(
         return RuleTag.AND, {"label": w, "formula": formula}, premises
     if best == _AGDIA:
         # 4. agentive diamond not yet propagated through its choice-tree
+        u = next(u for u in state.members[state.tree[w]] if body not in at[u])
         principal = {"agent": _AGENT, "label": w, "formula": formula, "witness": u}
         return RuleTag.PROP, principal, (((), ((u, body),)),)
     if best == _DIA:
         # 5. settledness diamond not yet propagated everywhere
-        u = next(u for u in labels if body not in has[u])
+        u = next(u for u in labels if body not in at[u])
         principal = {"label": w, "formula": formula, "witness": u}
         return RuleTag.DIA, principal, (((), ((u, body),)),)
     v = labels[-1] + 1

@@ -286,7 +286,8 @@ def decide_by_enumeration(
     Otherwise it is `ValidUpToBound`: under a smaller ``max_worlds``, or for
     a goal that mentions several agents, whose bound has no proof (and
     ``!([1] p & dia [1] ~p & [2] r & dia [2] ~r)`` has a counter-model of
-    4 worlds, one more than its bound).
+    4 worlds, one more than its bound).  A goal that mentions an agent
+    below 1 or beyond ``agents`` is refused with a `ValueError`.
     """
     program, names = _compile(f)
     default = _world_bound(program)
@@ -365,8 +366,13 @@ def _compile(f: Formula) -> tuple[list[tuple[int, int, int]], list[str]]:
             op = (kind, names.setdefault(g.name, len(names)), 0)
         elif kind <= _OR:
             op = (kind, position[g.left], position[g.right])
-        else:  # relation 0 is that of box and dia
-            op = (kind, getattr(g, "agent", 0), position[g.body])
+        else:  # relation 0 is that of box and dia; agents count from 1
+            rel = getattr(g, "agent", None)
+            if rel is None:
+                rel = 0
+            elif rel < 1:
+                raise ValueError(f"the goal mentions agent {rel}; agents count from 1")
+            op = (kind, rel, position[g.body])
         position[g] = len(program)
         program.append(op)
     return program, list(names)

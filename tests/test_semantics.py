@@ -10,6 +10,8 @@ from json_mutants import mutants
 from raw_models import enumerate_models
 
 from stitprover import (
+    AgBox,
+    AgDia,
     Atom,
     Box,
     CounterModel,
@@ -332,6 +334,19 @@ def test_the_oracle_refuses_goals_beyond_its_frame_or_atom_limit():
         decide_by_enumeration(many)
     sixteen = parse(" | ".join(f"p{i}" for i in range(16)))
     assert isinstance(decide_by_enumeration(sixteen), CounterModel)
+
+
+@pytest.mark.parametrize("agent", [0, -1])
+def test_the_oracle_refuses_an_agent_below_one_as_the_search_does(agent):
+    """The parser cannot make ``[0] p``, but code can.  Relation 0 is that of
+    ``box``, so the oracle once read ``[0] p`` as ``box p`` and called this
+    goal valid, where ``prove`` refuses it."""
+    for modality in (AgBox, AgDia):
+        goal = Or(modality(agent, P), Dia(NegAtom("p")))
+        with pytest.raises(ValueError, match=f"agent {agent}; agents count from 1"):
+            decide_by_enumeration(goal, agents=2)
+        with pytest.raises(ValueError, match="single-agent"):
+            prove(ProverConfig(choices=0), goal)
 
 
 def smallest_raw_counter_model(goal, agents, choices, max_worlds):
