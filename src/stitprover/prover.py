@@ -286,7 +286,8 @@ class _State:
         complements of its operands are linked by then, and links both."""
         ids: dict[Formula, int] = {}
         keys: dict[tuple, int] = {}
-        form, comp, counted = self.form, self.comp, self.counted
+        form, kinds, lefts, rights = self.form, self.kind, self.left, self.right
+        comp, counted = self.comp, self.counted
         for g in nodes(*formulas):
             cls = type(g)
             kind, dual = _SHAPE[cls]
@@ -308,11 +309,11 @@ class _State:
             if other >= 0:
                 comp[other] = fid
             form.append(g)
-            self.kind.append(kind)
-            self.left.append(left)
-            self.right.append(right)
+            kinds.append(kind)
+            lefts.append(left)
+            rights.append(right)
             comp.append(other)
-            self.holders.append(0)
+        self.holders += [0] * (len(form) - len(self.holders))
         return [ids[f] for f in formulas]
 
     # -- the sequent ---------------------------------------------------------
@@ -481,11 +482,12 @@ def _load(s: LabelledSequent) -> _State:
 
 def _complementary_pair(state: _State) -> Label | None:
     """A label carrying some formula and its complement."""
-    comp, at = state.comp, state.at
-    return next(
-        (w for w in state.labels if any(comp[f] in at[w] for f in at[w])),
-        None,
-    )
+    comp = state.comp
+    for w, here in state.at.items():
+        for f in here:
+            if comp[f] in here:
+                return w
+    return None
 
 
 def is_stable(s: LabelledSequent, n: int) -> bool:
@@ -612,7 +614,7 @@ def _step(
         return RuleTag.ID, {"label": w, "atom": state.form[f].name}, ()
     kind, left, right, at, live = state.kind, state.left, state.right, state.at, state.live
     busy, holders, labels = state.busy, state.holders, state.labels
-    best, best_w, best_f, blocked = _NONE, 0, 0, []
+    best, best_w, best_f, blocked = _NONE, 0, 0, None
     for w in busy:
         here = at[w]
         for f in live[w]:
@@ -644,6 +646,8 @@ def _step(
             elif not holders[body]:  # a box
                 best, best_w, best_f = k, w, f
                 continue
+            if blocked is None:
+                blocked = []
             blocked.append((w, f))
         if best == _OR:
             break
