@@ -40,10 +40,10 @@ The search works on one mutable state.  It interns the goal's distinct
 subformulas once, each with an id, its kind, its operands' ids and its
 complement's id (hash-consing: Filliâtre and Conchon, "Type-Safe Modular
 Hash-Consing", 2006).  The state holds one sequent over those ids: per
-label its formulas in insertion order, each with its place, per formula
-the number of labels carrying it, the choice forest as parent pointers and component
-ids, per choice tree the number of its labels carrying each body of a
-``[1]`` or ``<1>``, and the insertion logs of labelled formulas and
+label its formulas in insertion order, each with its place; per formula
+the number of labels carrying it; the choice forest as parent pointers and
+component ids; per choice tree the number of its labels carrying each body
+of a ``[1]`` or ``<1>``; and the insertion logs of labelled formulas and
 relational atoms, each atom logged with what it changed in the forest (the
 parent pointer it set, the tree it merged away, that tree's members and
 counts).
@@ -410,9 +410,9 @@ class _State:
         changed.  Then it drops the clashes recorded since and deletes the
         labels made since, which are one-label trees again by then."""
         forms, rels, rets, labels = mark
-        log, undo, retired, kind, counted = self.log, self.undo, self.retired, self.kind, self.counted
+        log, undo, retired, kind = self.log, self.undo, self.retired, self.kind
         at, holders, live, busy = self.at, self.holders, self.live, self.busy
-        tree, count = self.tree, self.count
+        tree, count, counted = self.tree, self.count, self.counted
         while True:
             atom = undo[-1][0] if len(undo) > rels else -1
             retirement = retired[-1][0] if len(retired) > rets else -1
